@@ -9,21 +9,18 @@ package repro
 // The flow-model experiments (Fig. 1, 7, 8, 9, summary) are deterministic
 // and fast; Fig. 6 and Fig. 10 execute the real protocol state machines on
 // the discrete-event simulator. Ablation benchmarks at the bottom isolate
-// the design decisions DESIGN.md calls out.
+// the paper's design decisions.
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/bank"
 	"repro/internal/bench"
 	"repro/internal/crypto"
-	"repro/internal/exec"
 	"repro/internal/flowsim"
 	"repro/internal/ledger"
 	"repro/internal/model"
@@ -36,7 +33,6 @@ import (
 	"repro/internal/transport"
 	"repro/internal/types"
 	"repro/internal/wal"
-	"repro/internal/ycsb"
 )
 
 // reportPeak extracts a table's peak numeric cell in the given column.
@@ -135,7 +131,7 @@ func BenchmarkSummaryRatios(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md "Key design decisions")
+// Ablations of the paper's design decisions
 // ---------------------------------------------------------------------------
 
 // BenchmarkAblationConcurrency sweeps the instance count m at n=32,
@@ -740,124 +736,6 @@ func BenchmarkFlightRecord(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel execution (internal/exec)
-// ---------------------------------------------------------------------------
-
-// BenchmarkParallelExec prices the conflict-aware parallel executor against
-// the serial baseline (the paper's 217 ktxn/s execution wall, Fig. 7 left)
-// across worker counts and conflict rates. The conflict axis mixes a single
-// hot record into an otherwise conflict-free write stream: at 0% every
-// transaction touches a distinct record (one singleton component each), at
-// 100% the whole batch is one component and must serialize.
-//
-// The conflict-free workers=8 variants are named .../serial and
-// .../parallel: scripts/benchgate pairs them within the current run and CI
-// fails if parallel is not >=2x serial on its multicore runners (on a
-// single-core machine the pair measures pure engine overhead instead).
-func BenchmarkParallelExec(b *testing.B) {
-	const (
-		execRecords = 1 << 16
-		execBatch   = 2048
-		execField   = 512
-		execRounds  = 8
-	)
-
-	ycsbBatches := func(conflictPct int) []*types.Batch {
-		rng := rand.New(rand.NewSource(int64(conflictPct) + 1))
-		batches := make([]*types.Batch, execRounds)
-		seq, next := uint64(0), 0
-		for r := range batches {
-			bt := &types.Batch{Txns: make([]types.Transaction, 0, execBatch)}
-			for i := 0; i < execBatch; i++ {
-				seq++
-				key := uint32(0) // the hot record
-				if rng.Intn(100) >= conflictPct {
-					next++
-					key = uint32(1 + next%(execRecords-1)) // distinct within a batch
-				}
-				value := make([]byte, execField)
-				rng.Read(value)
-				bt.Txns = append(bt.Txns, types.Transaction{
-					Client: 1, Seq: seq, Op: ycsb.EncodeWrite(key, value),
-				})
-			}
-			batches[r] = bt
-		}
-		return batches
-	}
-
-	bankBatches := func() []*types.Batch {
-		const accounts = 8192
-		rng := rand.New(rand.NewSource(9))
-		batches := make([]*types.Batch, execRounds)
-		seq := uint64(0)
-		for r := range batches {
-			bt := &types.Batch{Txns: make([]types.Transaction, 0, execBatch)}
-			for i := 0; i < execBatch; i++ {
-				seq++
-				t := bank.Transfer{
-					From:      fmtSprintf("acct-%05d", rng.Intn(accounts)),
-					To:        fmtSprintf("acct-%05d", rng.Intn(accounts)),
-					Threshold: 100,
-					Amount:    1,
-				}
-				bt.Txns = append(bt.Txns, types.Transaction{Client: 1, Seq: seq, Op: t.Encode()})
-			}
-			batches[r] = bt
-		}
-		return batches
-	}
-	bankApp := func() exec.Application {
-		opening := make(map[string]int64, 8192)
-		for i := 0; i < 8192; i++ {
-			opening[fmtSprintf("acct-%05d", i)] = 1_000_000
-		}
-		return bank.New(opening)
-	}
-
-	run := func(b *testing.B, app exec.Application, batches []*types.Batch, workers int) {
-		e := exec.NewEngineOpts(app, nil, exec.Options{Workers: workers})
-		defer e.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.ExecuteBatch(batches[i%len(batches)], ledger.Proof{Round: types.Round(i + 1)})
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.N)*execBatch/b.Elapsed().Seconds(), "txn/s")
-	}
-
-	for _, conflict := range []int{0, 50, 100} {
-		batches := ycsbBatches(conflict)
-		variants := []struct {
-			name    string
-			workers int
-		}{
-			{"workers=1", 1}, {"workers=8", 8},
-		}
-		if conflict == 0 {
-			// The gated pair, plus the sweep CI plots.
-			variants = []struct {
-				name    string
-				workers int
-			}{
-				{"serial", 1}, {"workers=2", 2}, {"workers=4", 4}, {"parallel", 8},
-			}
-		}
-		for _, v := range variants {
-			b.Run(fmtSprintf("ycsb/conflict=%d/%s", conflict, v.name), func(b *testing.B) {
-				run(b, ycsb.NewStore(execRecords), batches, v.workers)
-			})
-		}
-	}
-	batches := bankBatches()
-	for _, workers := range []int{1, 8} {
-		b.Run(fmtSprintf("bank/uniform/workers=%d", workers), func(b *testing.B) {
-			run(b, bankApp(), batches, workers)
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Frame authentication (internal/crypto + the transport verify pool)
 // ---------------------------------------------------------------------------
 
@@ -919,9 +797,9 @@ func BenchmarkAuth(b *testing.B) {
 //	        fallback) — transport/verify.go's situation.
 //
 // scripts/benchgate pairs /pooled with /inline within the current run and CI
-// fails when the pool stops being >=2x (-min-pooled-speedup). Like the
-// ParallelExec floor this needs the runner's multiple cores; on a
-// single-core machine the pair measures pure pool overhead instead.
+// fails when the pool stops being >=2x (-min-pooled-speedup). The floor
+// needs the runner's multiple cores; on a single-core machine the pair
+// measures pure pool overhead instead.
 func BenchmarkVerifyPool(b *testing.B) {
 	const (
 		votes   = 64

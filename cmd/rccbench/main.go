@@ -1,6 +1,7 @@
 // Command rccbench regenerates the RCC paper's tables and figures. Each
-// experiment prints the same rows/series the paper reports; EXPERIMENTS.md
-// records measured-vs-paper values.
+// experiment prints the same rows/series the paper reports, with the
+// paper's values in the table titles where it states them (-exp summary
+// sets the headline ratios beside the paper's).
 //
 // Usage:
 //
@@ -54,7 +55,7 @@ func main() {
 	order := []string{
 		"fig1left", "fig1right", "fig6", "fig7left", "fig7right",
 		"fig8a", "fig8b", "fig8c", "fig8d", "fig8e", "fig8f", "fig8g", "fig8h",
-		"fig9", "fig10", "exec", "statesync", "stages", "timeline", "crypto", "summary", "validate",
+		"fig9", "fig10", "statesync", "stages", "timeline", "crypto", "summary", "validate",
 		"chaos", // excluded from -exp all: minutes-long live-cluster run
 	}
 
@@ -71,13 +72,6 @@ func main() {
 			t, err := bench.Fig10(bench.DefaultFig10())
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "fig10: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(t.Render())
-		case "exec":
-			t, err := bench.Exec()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "exec: %v\n", err)
 				os.Exit(1)
 			}
 			fmt.Println(t.Render())

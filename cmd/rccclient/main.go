@@ -38,15 +38,8 @@ func parsePeers(s string) (map[types.ReplicaID]string, error) {
 	return peers, nil
 }
 
-// buildAuth resolves the -auth / -auth-secret flags (with -mac-secret as a
-// backward-compatible alias implying mac) into an authenticator.
-func buildAuth(schemeArg, secret, macSecret string, party uint32) (crypto.Authenticator, error) {
-	if schemeArg == "" && macSecret != "" {
-		schemeArg = "mac"
-	}
-	if secret == "" {
-		secret = macSecret
-	}
+// buildAuth resolves the -auth / -auth-secret flags into an authenticator.
+func buildAuth(schemeArg, secret string, party uint32) (crypto.Authenticator, error) {
 	scheme, err := crypto.ParseScheme(schemeArg)
 	if err != nil {
 		return nil, err
@@ -65,9 +58,8 @@ func main() {
 		txns     = flag.Int("txns", 100, "transactions to execute")
 		window   = flag.Int("window", 8, "client pipeline depth")
 		zyz      = flag.Bool("zyzzyva", false, "collect all-n speculative responses (Zyzzyva deployments)")
-		authArg  = flag.String("auth", "", "frame authentication scheme: none, mac, ds (must match the nodes); default none, or mac when -mac-secret is set")
+		authArg  = flag.String("auth", "", "frame authentication scheme: none, mac, ds (must match the nodes); default none")
 		authKey  = flag.String("auth-secret", "", "shared deployment secret (must match the nodes)")
-		macKey   = flag.String("mac-secret", "", "shared MAC secret (deprecated alias for -auth mac -auth-secret)")
 		timeout  = flag.Duration("timeout", 60*time.Second, "overall deadline")
 		sendQ    = flag.Int("send-queue", 0, "per-replica outbound queue depth (0 = default 4096)")
 		sendB    = flag.Int("send-batch-bytes", 0, "max encoded bytes coalesced per write syscall (0 = default 128 KiB)")
@@ -110,7 +102,7 @@ func main() {
 	})
 
 	proc := runtime.NewClient(cid, params, mach)
-	auth, err := buildAuth(*authArg, *authKey, *macKey, crypto.ClientPartyID(cid))
+	auth, err := buildAuth(*authArg, *authKey, crypto.ClientPartyID(cid))
 	if err != nil {
 		log.Fatalf("rccclient: %v", err)
 	}

@@ -55,15 +55,8 @@ func parsePeers(s string) (map[types.ReplicaID]string, error) {
 	return peers, nil
 }
 
-// buildAuth resolves the -auth / -auth-secret flags (with -mac-secret as a
-// backward-compatible alias implying mac) into an authenticator.
-func buildAuth(schemeArg, secret, macSecret string, party uint32) (crypto.Authenticator, error) {
-	if schemeArg == "" && macSecret != "" {
-		schemeArg = "mac"
-	}
-	if secret == "" {
-		secret = macSecret
-	}
+// buildAuth resolves the -auth / -auth-secret flags into an authenticator.
+func buildAuth(schemeArg, secret string, party uint32) (crypto.Authenticator, error) {
 	scheme, err := crypto.ParseScheme(schemeArg)
 	if err != nil {
 		return nil, err
@@ -121,9 +114,8 @@ func main() {
 		batch    = flag.Int("batch", 100, "transactions per proposal")
 		window   = flag.Int("window", 4, "out-of-order proposal window")
 		records  = flag.Int("records", ycsb.DefaultRecords, "YCSB table records")
-		authArg  = flag.String("auth", "", "frame authentication scheme: none, mac (pairwise HMAC), ds (ED25519 dev keyring); default none, or mac when -mac-secret is set")
+		authArg  = flag.String("auth", "", "frame authentication scheme: none, mac (pairwise HMAC), ds (ED25519 dev keyring); default none")
 		authKey  = flag.String("auth-secret", "", "shared deployment secret: MAC pair keys or the ds dev-keyring seed derive from it")
-		macKey   = flag.String("mac-secret", "", "shared MAC secret (deprecated alias for -auth mac -auth-secret)")
 		verifyW  = flag.Int("verify-workers", 0, "inbound verification worker pool size (0 = scheme default: pooled for ds, inline for mac; negative = force inline)")
 		digCache = flag.Int("digest-cache", 0, "verified client-request digest cache entries, shared across instances (0 off)")
 		statsSec = flag.Int("stats", 10, "stats print interval in seconds (0 off)")
@@ -140,7 +132,6 @@ func main() {
 		stateSyn = flag.Bool("state-sync", true, "with -data-dir: serve checkpoints to lagging peers and, when this replica is behind (wiped disk, long partition), fetch the f+1-attested snapshot + ledger suffix and rejoin at the cluster head")
 		chunkB   = flag.Int("snapshot-chunk-bytes", 0, "state sync: snapshot chunk size served to peers (0 = default 256 KiB)")
 		syncSrc  = flag.Int("state-sync-source", -1, "state sync: preferred transfer source replica ID (-1 = automatic; the fetcher still rotates away on failure)")
-		execWkrs = flag.Int("exec-workers", 0, "parallel execution workers per batch: conflict-free transactions of a unified round fan out across this many goroutines (0 = GOMAXPROCS, 1 = serial)")
 		adminArg = flag.String("admin-addr", "", "admin HTTP listener serving /metrics (Prometheus), /healthz, /readyz, /debug/trace, /debug/events, and /debug/pprof (empty = off)")
 		traceN   = flag.Int("trace-sample", 64, "lifecycle tracer: sample 1 in N transactions into the /debug/trace ring (1 = all, negative = off)")
 		traceBuf = flag.Int("trace-buf", 4096, "lifecycle tracer: ring buffer capacity in events")
@@ -239,7 +230,6 @@ func main() {
 			ChunkBytes: *chunkB,
 			Source:     source,
 		},
-		Exec: runtime.ExecOptions{Workers: *execWkrs},
 		Flight: runtime.FlightOptions{
 			StallThreshold: *stallThr,
 			MirrorInterval: *mirrorIv,
@@ -260,7 +250,7 @@ func main() {
 		}
 	}
 
-	auth, err := buildAuth(*authArg, *authKey, *macKey, crypto.PartyID(types.ReplicaID(*id)))
+	auth, err := buildAuth(*authArg, *authKey, crypto.PartyID(types.ReplicaID(*id)))
 	if err != nil {
 		log.Fatalf("rccnode: %v", err)
 	}

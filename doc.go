@@ -77,33 +77,20 @@
 // the chain it acknowledges. rccbench -exp statesync reports transfer
 // throughput (MB/s, blocks/s).
 //
-// Conflict-aware parallel execution: the execution engine (internal/exec)
-// no longer applies unified rounds serially. The Application contract
-// exposes each transaction's state-key footprint (Keys, with
-// types.StateKey identifying the state it reads or writes); the engine
-// partitions every batch into connected components of the conflict graph
-// (union-find over shared keys), packs components onto a bounded worker
-// pool (runtime.Config.Exec.Workers, core.Options.ExecWorkers, rccnode
-// -exec-workers; 0 = GOMAXPROCS, 1 = the serial engine), and executes
-// conflicting transactions one at a time in batch order on a single
-// goroutine. Per-transaction result digests assemble in batch-index order,
-// so ResultHash and StateDigest are byte-identical on every replica
-// regardless of worker count or scheduling — one replica's parallelism
-// knob never shows in its replies. Transactions whose footprint an
-// application cannot declare (Keys ok=false) run alone as barriers. Both
-// applications (internal/bank with sharded per-account locking,
-// internal/ycsb with per-record disjoint writes) declare footprints;
-// BenchmarkParallelExec and rccbench -exp exec measure txn/s vs workers
-// and conflict rate, and CI gates parallel >= 2x serial on the
-// conflict-free workload (scripts/benchgate -min-parallel-speedup).
+// Execution: the engine (internal/exec) applies each unified round
+// serially, in batch order, as the paper's replicas do. The live benchmark
+// (livebench) measured execution at under 1% of CPU per transaction and a
+// mean execution concurrency of 1.00 under a worker pool, so parallel
+// execution would not move client-observed numbers. Applications still
+// declare per-transaction key footprints (Application.Keys,
+// types.StateKey), which the engine does not call.
 //
 // Compatibility note: runtime.Config's flat durability and state-sync
-// knobs were regrouped in the same change — Durability/AsyncJournal/
-// JournalQueueDepth/JournalMaxBatchBytes/SnapshotEvery became the
-// Journaling (runtime.JournalOptions) group, the StateSync*/SnapshotChunk
-// fields became the StateSync (runtime.StateSyncOptions) group, and the
-// executor's worker count lives in Exec (runtime.ExecOptions).
-// core.Options and the rccnode flags are unchanged.
+// knobs are grouped — Durability/AsyncJournal/JournalQueueDepth/
+// JournalMaxBatchBytes/SnapshotEvery became the Journaling
+// (runtime.JournalOptions) group, the StateSync*/SnapshotChunk fields
+// became the StateSync (runtime.StateSyncOptions) group. core.Options and
+// the rccnode flags are unchanged.
 //
 // Frame authentication at line rate: internal/crypto implements the
 // paper's Fig. 7-right schemes as production hot paths. NewMAC precomputes
@@ -160,10 +147,9 @@
 //	go test -bench=. -benchmem .
 //
 // CI runs them (benchtime=1x smoke plus a longer WAL/journal/messaging/
-// observability/execution pass), emits BENCH_ci.json, and gates merges on
-// >25% ns/op regressions against the committed BENCH_baseline.json via
-// scripts/benchgate, which also enforces the observability overhead
-// ceiling (-max-overhead), the parallel-execution speedup floor
-// (-min-parallel-speedup), and the authentication floors
-// (-min-cached-speedup, -min-pooled-speedup).
+// observability/authentication pass), emits BENCH_ci.json, and gates
+// merges on >25% ns/op regressions against the committed
+// BENCH_baseline.json via scripts/benchgate, which also enforces the
+// observability overhead ceiling (-max-overhead) and the authentication
+// floors (-min-cached-speedup, -min-pooled-speedup).
 package repro

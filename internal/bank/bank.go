@@ -108,10 +108,10 @@ type shard struct {
 
 // Bank is a deterministic account store implementing exec.Application.
 // Balances are sharded by account-name hash with per-shard locks and the
-// applied counter is atomic, so Execute tolerates the engine's concurrent
-// calls for transactions with disjoint account footprints; transfers
-// touching a common account share a StateKey and are serialized by the
-// engine in batch order.
+// applied counter is atomic, so Execute is safe under concurrent calls for
+// transactions with disjoint account footprints and Balance under
+// concurrent execution. The engine itself executes serially in batch
+// order.
 type Bank struct {
 	shards  [shardCount]shard
 	applied atomic.Uint64

@@ -99,10 +99,6 @@ type Options struct {
 	// behind fetches the f+1-attested snapshot plus ledger suffix from its
 	// peers and rejoins at the cluster head (see runtime.Config.StateSync).
 	StateSync bool
-	// ExecWorkers bounds the conflict-aware parallel execution engine's
-	// per-batch concurrency on every replica (0 = GOMAXPROCS, 1 = the
-	// serial executor; see runtime.Config.Exec).
-	ExecWorkers int
 	// UnpredictableOrdering enables RCC's §IV permutation ordering.
 	UnpredictableOrdering bool
 	// Metrics is the instrument catalog wired through the consensus
@@ -241,7 +237,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 				Async:         opts.AsyncJournal,
 				SnapshotEvery: opts.SnapshotEvery,
 			},
-			Exec:           runtime.ExecOptions{Workers: opts.ExecWorkers},
 			ReplyToClients: true,
 			Metrics:        opts.Metrics,
 		}

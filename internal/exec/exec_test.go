@@ -1,8 +1,12 @@
 package exec
 
 import (
+	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 
+	"repro/internal/bank"
 	"repro/internal/ledger"
 	"repro/internal/types"
 	"repro/internal/ycsb"
@@ -25,24 +29,80 @@ func TestExecuteBatchCountsAndHashes(t *testing.T) {
 	}
 }
 
+// ycsbRounds builds a deterministic sequence of mixed read/write batches
+// with a Zipfian key distribution.
+func ycsbRounds(rounds, batchSize int) []*types.Batch {
+	wl := ycsb.NewWorkload(ycsb.WorkloadConfig{Records: 256, WriteRatio: 0.7, FieldLen: 8, Seed: 42})
+	out := make([]*types.Batch, rounds)
+	for r := range out {
+		out[r] = wl.NextBatch(types.ClientID(r%13+1), batchSize)
+	}
+	return out
+}
+
+// bankRounds builds batches of conditional transfers over a small account
+// set: heavy conflicts whose outcomes are order-sensitive (Example IV.1).
+func bankRounds(rounds, batchSize int) []*types.Batch {
+	rng := rand.New(rand.NewSource(7))
+	out := make([]*types.Batch, rounds)
+	seq := uint64(0)
+	for r := range out {
+		b := &types.Batch{Txns: make([]types.Transaction, 0, batchSize)}
+		for i := 0; i < batchSize; i++ {
+			seq++
+			t := bank.Transfer{
+				From:      fmt.Sprintf("acct-%02d", rng.Intn(48)),
+				To:        fmt.Sprintf("acct-%02d", rng.Intn(48)),
+				Threshold: int64(rng.Intn(200)),
+				Amount:    int64(rng.Intn(50)),
+			}
+			b.Txns = append(b.Txns, types.Transaction{Client: 1, Seq: seq, Op: t.Encode()})
+		}
+		out[r] = b
+	}
+	return out
+}
+
+func bankOpening() map[string]int64 {
+	opening := make(map[string]int64, 48)
+	for i := 0; i < 48; i++ {
+		opening[fmt.Sprintf("acct-%02d", i)] = 500
+	}
+	return opening
+}
+
 func TestIdenticalHistoriesProduceIdenticalResults(t *testing.T) {
 	// §III-A determinism: same batches in the same order → same result
 	// hashes and state hashes on independent replicas.
-	mk := func() []Result {
-		e := NewEngine(ycsb.NewStore(100), nil)
-		var out []Result
-		for r := types.Round(1); r <= 5; r++ {
-			out = append(out, e.ExecuteBatch(batch(
-				wtx(1, uint64(r)*2-1, uint32(r)),
-				wtx(2, uint64(r), uint32(r+50)),
-			), ledger.Proof{Round: r}))
-		}
-		return out
+	var ycsbBatches []*types.Batch
+	for r := 1; r <= 5; r++ {
+		ycsbBatches = append(ycsbBatches, batch(
+			wtx(1, uint64(r)*2-1, uint32(r)),
+			wtx(2, uint64(r), uint32(r+50)),
+		))
 	}
-	a, b := mk(), mk()
-	for i := range a {
-		if a[i].ResultHash != b[i].ResultHash || a[i].StateHash != b[i].StateHash {
-			t.Fatalf("round %d diverges", i+1)
+	inputs := []struct {
+		name    string
+		app     func() Application
+		batches []*types.Batch
+	}{
+		{"ycsb", func() Application { return ycsb.NewStore(100) }, ycsbBatches},
+		{"bank", func() Application { return bank.New(bankOpening()) }, bankRounds(40, 96)},
+	}
+	for _, in := range inputs {
+		mk := func() []Result {
+			e := NewEngine(in.app(), nil)
+			var out []Result
+			for i, b := range in.batches {
+				out = append(out, e.ExecuteBatch(b, ledger.Proof{Round: types.Round(i + 1)}))
+			}
+			return out
+		}
+		a, b := mk(), mk()
+		for i := range a {
+			if a[i].ResultHash != b[i].ResultHash || a[i].StateHash != b[i].StateHash {
+				t.Fatalf("%s: round %d diverges", in.name, i+1)
+			}
 		}
 	}
 }
@@ -159,5 +219,59 @@ func TestExecuteBatchAsyncNilJournalCompletesInline(t *testing.T) {
 	e.ExecuteBatchAsync(batch(wtx(1, 1, 1)), ledger.Proof{}, func(Result, error) { fired = true })
 	if !fired {
 		t.Fatal("nil journal must complete inline")
+	}
+}
+
+// TestNoOpFootprintsAreEmpty pins the Keys contract of both applications:
+// no-ops and malformed payloads execute statelessly and declare empty
+// footprints.
+func TestNoOpFootprintsAreEmpty(t *testing.T) {
+	apps := []Application{ycsb.NewStore(16), bank.New(nil)}
+	for _, app := range apps {
+		noop := types.NoOp()
+		if keys, ok := app.Keys(noop, nil); !ok || len(keys) != 0 {
+			t.Fatalf("%T: no-op footprint = %v, %v; want empty, true", app, keys, ok)
+		}
+		bad := types.Transaction{Client: 1, Seq: 1, Op: []byte{0xde}}
+		if keys, ok := app.Keys(bad, nil); !ok || len(keys) != 0 {
+			t.Fatalf("%T: malformed footprint = %v, %v; want empty, true", app, keys, ok)
+		}
+	}
+}
+
+// TestExecutedCounterRaceSafe drives the engine while another goroutine
+// polls Executed() — the metrics scrape path — and a Restore lands between
+// batches. Run under -race this pins the atomic counter.
+func TestExecutedCounterRaceSafe(t *testing.T) {
+	e := NewEngine(ycsb.NewStore(128), nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = e.Executed()
+			}
+		}
+	}()
+	rounds := ycsbRounds(30, 64)
+	for i, b := range rounds {
+		e.ExecuteBatch(b, ledger.Proof{Round: types.Round(i + 1)})
+		if i == len(rounds)/2 {
+			e.Restore(e.Executed()) // restart replay primes the counter
+		}
+	}
+	close(stop)
+	wg.Wait()
+	var want uint64
+	for _, b := range rounds {
+		want += uint64(len(b.Txns))
+	}
+	if got := e.Executed(); got != want {
+		t.Fatalf("executed %d, want %d", got, want)
 	}
 }

@@ -132,16 +132,6 @@ type StateSyncOptions struct {
 	AttestScheme *crypto.ThresholdScheme
 }
 
-// ExecOptions groups the execution-engine tunables.
-type ExecOptions struct {
-	// Workers bounds the conflict-aware executor's concurrency per batch
-	// (0 = GOMAXPROCS, 1 = serial; see exec.Options.Workers).
-	Workers int
-	// MinParallel is the smallest batch worth fanning out (0 = the
-	// exec.DefaultMinParallel).
-	MinParallel int
-}
-
 // Config parameterizes one replica process.
 //
 // Subsystem tunables are grouped: the flat Durability / AsyncJournal /
@@ -173,8 +163,6 @@ type Config struct {
 	// Flight tunes the flight recorder's watchdog, fsync-stall detector,
 	// and crash-safe disk mirror (the recorder itself lives in Metrics).
 	Flight FlightOptions
-	// Exec tunes the conflict-aware parallel execution engine.
-	Exec ExecOptions
 	// QueueDepth bounds the inbound event queue (default 4096).
 	QueueDepth int
 	// ReplyToClients answers the clients of executed batches.
@@ -303,9 +291,7 @@ func New(cfg Config) (*Replica, error) {
 		r.durable = dl
 		r.log = dl.Memory()
 		journal = durableJournal{r}
-		r.engine = exec.NewEngineOpts(cfg.App, journal, exec.Options{
-			Workers: cfg.Exec.Workers, MinParallel: cfg.Exec.MinParallel,
-		})
+		r.engine = exec.NewEngine(cfg.App, journal)
 		r.engine.SetMetrics(cfg.Metrics)
 		r.engine.Restore(txns)
 		r.initStateSync()
@@ -317,9 +303,7 @@ func New(cfg Config) (*Replica, error) {
 		r.log = l
 		journal = l
 	}
-	r.engine = exec.NewEngineOpts(cfg.App, journal, exec.Options{
-		Workers: cfg.Exec.Workers, MinParallel: cfg.Exec.MinParallel,
-	})
+	r.engine = exec.NewEngine(cfg.App, journal)
 	r.engine.SetMetrics(cfg.Metrics)
 	r.registerMetrics()
 	return r, nil
@@ -888,9 +872,6 @@ func (r *Replica) Stop() {
 		r.timers.Unlock()
 	})
 	r.wg.Wait()
-	// The event loop has exited, so no batch is in flight: the execution
-	// engine's worker pool can wind down.
-	r.engine.Close()
 	// The state-transfer manager stops before the store closes: an
 	// in-flight transfer aborts (installs are atomic, nothing partial
 	// remains) and no serve request can touch a closing store.
@@ -928,7 +909,6 @@ func (r *Replica) Kill() {
 		r.timers.Unlock()
 	})
 	r.wg.Wait()
-	r.engine.Close()
 	if r.sync != nil {
 		r.sync.Stop()
 	}

@@ -89,9 +89,8 @@ type Env interface {
 	SendClient(c types.ClientID, m types.Message)
 
 	// Deliver reports a decision ready for ordering/execution. Decisions
-	// are delivered in the unified order; how the runtime executes each
-	// batch (serially or on internal/exec's conflict-aware worker pool)
-	// is invisible here — execution is deterministic either way.
+	// are delivered in the unified order, and the runtime executes each
+	// batch serially in that order (internal/exec).
 	Deliver(d Decision)
 
 	// SetTimer arms (or re-arms) timer id to fire after d.

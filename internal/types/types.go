@@ -68,8 +68,8 @@ type Round uint64
 // intersect (see exec.Application). Applications map their own state
 // identifiers onto StateKey — YCSB uses record indices directly, the bank
 // hashes account names with KeyBytes. Collisions are safe: they can only
-// merge two non-conflicting transactions into one serialized group, never
-// split a real conflict.
+// make two non-conflicting transactions look conflicting, never hide a
+// real conflict. The serial execution engine does not consult footprints.
 type StateKey uint64
 
 // KeyBytes maps an application state identifier onto a StateKey with

@@ -56,7 +56,8 @@ func DecodeOp(op []byte) (code byte, key uint32, value []byte, err error) {
 // record — its conflict StateKey is the record index — so transactions on
 // distinct records commute: concurrent Execute calls write disjoint slice
 // slots and the operation counters/state accumulator are atomic (wrapping
-// adds commute, so the totals are schedule-independent).
+// adds commute, so the totals are schedule-independent). The engine itself
+// executes serially in batch order.
 type Store struct {
 	records  []uint64 // fingerprint of the value for each key (compact state)
 	writes   atomic.Uint64

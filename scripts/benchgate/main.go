@@ -25,12 +25,6 @@
 // holds the observability layer to ≤5% on the instrumented hot paths
 // (BenchmarkObsOverhead).
 //
-// A fourth gate, -min-parallel-speedup, pairs every benchmark ending in
-// "/parallel" with its "/serial" sibling within the CURRENT run and fails
-// when the parallel variant is not at least that many times faster — how CI
-// holds the conflict-aware execution engine to its >=2x floor on the
-// conflict-free workload (BenchmarkParallelExec) on multicore runners.
-//
 // Two more same-run pair gates hold the frame-authentication fast paths:
 // -min-cached-speedup pairs "/cached" with "/uncached" (BenchmarkAuth — the
 // precomputed-MAC-key + pooled-HMAC path against the derive-per-call
@@ -88,10 +82,9 @@ func main() {
 		maxRegress = flag.Float64("max-regress", 0.25, "gate: fail when ns/op exceeds baseline by more than this fraction")
 		minSpeedup = flag.Float64("min-speedup", 0, "gate: fail when an async variant is not at least this many times faster than its sync sibling (0 disables)")
 		maxOverhd  = flag.Float64("max-overhead", 0, "gate: fail when a /live variant exceeds its /nop sibling by more than this fraction, both from the current run (0 disables)")
-		minParSpd  = flag.Float64("min-parallel-speedup", 0, "gate: fail when a /parallel variant is not at least this many times faster than its /serial sibling, both from the current run (0 disables)")
 		minCached  = flag.Float64("min-cached-speedup", 0, "gate: fail when a /cached variant is not at least this many times faster than its /uncached sibling, both from the current run (0 disables)")
 		minPooled  = flag.Float64("min-pooled-speedup", 0, "gate: fail when a /pooled variant is not at least this many times faster than its /inline sibling, both from the current run (0 disables)")
-		pattern    = flag.String("gate-pattern", `^Benchmark(WALAppend|AsyncJournal|Codec|Broadcast|Obs|FlightRecord|ParallelExec|Auth|VerifyPool)`, "gate: regexp selecting the benchmarks that block the build")
+		pattern    = flag.String("gate-pattern", `^Benchmark(WALAppend|AsyncJournal|Codec|Broadcast|Obs|FlightRecord|Auth|VerifyPool)`, "gate: regexp selecting the benchmarks that block the build")
 	)
 	flag.Parse()
 	switch {
@@ -100,7 +93,7 @@ func main() {
 	case *emit:
 		runEmit(*out, flag.Args())
 	default:
-		runGate(*baseline, *current, *pattern, *maxRegress, *minSpeedup, *maxOverhd, *minParSpd, *minCached, *minPooled)
+		runGate(*baseline, *current, *pattern, *maxRegress, *minSpeedup, *maxOverhd, *minCached, *minPooled)
 	}
 }
 
@@ -194,7 +187,7 @@ func load(path string) Summary {
 	return sum
 }
 
-func runGate(basePath, curPath, pattern string, maxRegress, minSpeedup, maxOverhead, minParallelSpeedup, minCachedSpeedup, minPooledSpeedup float64) {
+func runGate(basePath, curPath, pattern string, maxRegress, minSpeedup, maxOverhead, minCachedSpeedup, minPooledSpeedup float64) {
 	re, err := regexp.Compile(pattern)
 	if err != nil {
 		fatal("gate: bad -gate-pattern: %v", err)
@@ -223,25 +216,7 @@ func runGate(basePath, curPath, pattern string, maxRegress, minSpeedup, maxOverh
 	}
 
 	if minSpeedup > 0 {
-		pairs := 0
-		for name, c := range cur.Benchmarks {
-			if !re.MatchString(name) || !strings.HasSuffix(name, "/async") {
-				continue
-			}
-			syncName := strings.TrimSuffix(name, "/async") + "/sync"
-			s, ok := cur.Benchmarks[syncName]
-			if !ok {
-				continue
-			}
-			pairs++
-			if speedup := s.NsPerOp / c.NsPerOp; speedup < minSpeedup {
-				failures = append(failures, fmt.Sprintf("%s: async is only %.2fx sync (%.0f vs %.0f ns/op), want >= %.1fx",
-					name, speedup, c.NsPerOp, s.NsPerOp, minSpeedup))
-			}
-		}
-		if pairs == 0 {
-			failures = append(failures, "no sync/async benchmark pairs found for the -min-speedup check")
-		}
+		failures = append(failures, pairSpeedup(cur.Benchmarks, re, "async", "sync", minSpeedup, "-min-speedup")...)
 	}
 
 	if maxOverhead > 0 {
@@ -269,46 +244,20 @@ func runGate(basePath, curPath, pattern string, maxRegress, minSpeedup, maxOverh
 		}
 	}
 
-	if minParallelSpeedup > 0 {
-		// Parallel-execution floor: every "/parallel" benchmark against its
-		// "/serial" sibling, both from the CURRENT run, so the check holds
-		// on whatever core count the runner has (the benchmark itself only
-		// pairs the names on its conflict-free workload).
-		pairs := 0
-		for name, c := range cur.Benchmarks {
-			if !re.MatchString(name) || !strings.HasSuffix(name, "/parallel") {
-				continue
-			}
-			serialName := strings.TrimSuffix(name, "/parallel") + "/serial"
-			s, ok := cur.Benchmarks[serialName]
-			if !ok {
-				continue
-			}
-			pairs++
-			if speedup := s.NsPerOp / c.NsPerOp; speedup < minParallelSpeedup {
-				failures = append(failures, fmt.Sprintf("%s: parallel is only %.2fx serial (%.0f vs %.0f ns/op), want >= %.1fx",
-					name, speedup, c.NsPerOp, s.NsPerOp, minParallelSpeedup))
-			}
-		}
-		if pairs == 0 {
-			failures = append(failures, "no serial/parallel benchmark pairs found for the -min-parallel-speedup check")
-		}
-	}
-
 	if minCachedSpeedup > 0 {
 		// Cached-MAC floor: the precomputed-pair-key + pooled-HMAC Tag+Verify
 		// path against the derive-keys-per-call implementation it replaced
 		// (BenchmarkAuth .../cached vs .../uncached), paired within the
 		// current run so the floor is machine-independent.
-		failures = append(failures, pairSpeedup(cur.Benchmarks, re, "cached", "uncached", minCachedSpeedup)...)
+		failures = append(failures, pairSpeedup(cur.Benchmarks, re, "cached", "uncached", minCachedSpeedup, "-min-cached-speedup")...)
 	}
 
 	if minPooledSpeedup > 0 {
 		// Verify-pool floor: the parallel batched signature-verification
 		// drain against sequential per-record verification
-		// (BenchmarkVerifyPool .../pooled vs .../inline) — like the parallel
-		// execution floor, this needs the runner's multiple cores.
-		failures = append(failures, pairSpeedup(cur.Benchmarks, re, "pooled", "inline", minPooledSpeedup)...)
+		// (BenchmarkVerifyPool .../pooled vs .../inline); this floor needs
+		// the runner's multiple cores.
+		failures = append(failures, pairSpeedup(cur.Benchmarks, re, "pooled", "inline", minPooledSpeedup, "-min-pooled-speedup")...)
 	}
 
 	if len(failures) > 0 {
@@ -323,8 +272,9 @@ func runGate(basePath, curPath, pattern string, maxRegress, minSpeedup, maxOverh
 // pairSpeedup enforces a same-run speedup floor: every gated benchmark
 // ending in "/<fast>" must be at least floor times faster than its
 // "/<slow>" sibling from the same summary. Returns the failure messages,
-// including one when no pairs exist at all (a silent gate checks nothing).
-func pairSpeedup(cur map[string]Result, re *regexp.Regexp, fast, slow string, floor float64) []string {
+// including one naming flagName when no pairs exist at all (a silent gate
+// checks nothing).
+func pairSpeedup(cur map[string]Result, re *regexp.Regexp, fast, slow string, floor float64, flagName string) []string {
 	var failures []string
 	pairs := 0
 	for name, c := range cur {
@@ -342,7 +292,7 @@ func pairSpeedup(cur map[string]Result, re *regexp.Regexp, fast, slow string, fl
 		}
 	}
 	if pairs == 0 {
-		failures = append(failures, fmt.Sprintf("no %s/%s benchmark pairs found for the speedup floor check", slow, fast))
+		failures = append(failures, fmt.Sprintf("no %s/%s benchmark pairs found for the %s check", slow, fast, flagName))
 	}
 	return failures
 }
