@@ -525,7 +525,7 @@ func BenchmarkBroadcast(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 // BenchmarkObsInstruments prices the individual hot-path instruments: one
-// counter increment, one histogram observation, and one tracer sampling
+// counter increment, one histogram observation, and one lifecycle sampling
 // check for an unsampled transaction (the common case — 63 of 64 requests
 // take only this branch). All must be allocation-free.
 func BenchmarkObsInstruments(b *testing.B) {
@@ -547,7 +547,7 @@ func BenchmarkObsInstruments(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// Client 1 seq 1 hashes outside the 1-in-64 sample; the call is
 			// the pure rejection path.
-			met.Trace(1, 1, obs.PointArrive)
+			met.Trace(0, 0, 1, 1, flight.KTxnArrive)
 		}
 	})
 }
@@ -612,7 +612,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 				// The instrumentation a decided round charges the event
 				// loop, around the real network work.
 				met.Requests.Inc()
-				met.Trace(uint64(i%16+1), uint64(i), obs.PointArrive)
+				met.Trace(0, 0, uint64(i%16+1), uint64(i), flight.KTxnArrive)
 				for p := types.ReplicaID(1); p <= 3; p++ {
 					if err := t0.Send(p, vote); err != nil {
 						b.Fatal(err)
@@ -620,7 +620,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 				}
 				met.Decided.Inc()
 				met.ObserveStage(obs.StageConsensus, time.Duration(i%1000)*time.Microsecond)
-				met.Trace(uint64(i%16+1), uint64(i), obs.PointDecide)
+				met.Trace(0, 0, uint64(i%16+1), uint64(i), flight.KTxnDecide)
 			}
 		})
 
@@ -654,7 +654,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 						b.Error(err)
 					}
 					met.ObserveStage(obs.StageJournal, time.Since(submitted))
-					met.Trace(cli, cseq, obs.PointDurable)
+					met.Trace(0, 0, cli, cseq, flight.KTxnDurable)
 					completed.Add(1)
 				})
 			}

@@ -132,10 +132,9 @@ func main() {
 		stateSyn = flag.Bool("state-sync", true, "with -data-dir: serve checkpoints to lagging peers and, when this replica is behind (wiped disk, long partition), fetch the f+1-attested snapshot + ledger suffix and rejoin at the cluster head")
 		chunkB   = flag.Int("snapshot-chunk-bytes", 0, "state sync: snapshot chunk size served to peers (0 = default 256 KiB)")
 		syncSrc  = flag.Int("state-sync-source", -1, "state sync: preferred transfer source replica ID (-1 = automatic; the fetcher still rotates away on failure)")
-		adminArg = flag.String("admin-addr", "", "admin HTTP listener serving /metrics (Prometheus), /healthz, /readyz, /debug/trace, /debug/events, and /debug/pprof (empty = off)")
-		traceN   = flag.Int("trace-sample", 64, "lifecycle tracer: sample 1 in N transactions into the /debug/trace ring (1 = all, negative = off)")
-		traceBuf = flag.Int("trace-buf", 4096, "lifecycle tracer: ring buffer capacity in events")
-		flightN  = flag.Int("flight-buf", 0, "flight recorder: ring capacity in events (0 = default 4096, negative = off)")
+		adminArg = flag.String("admin-addr", "", "admin HTTP listener serving /metrics (Prometheus), /healthz, /readyz, /debug/events (flight ring), and /debug/pprof (empty = off)")
+		traceN   = flag.Int("trace-sample", 64, "lifecycle tracing: record 1 in N transactions' lifecycle stamps (txn_arrive ... txn_ack) into the flight ring served at /debug/events (1 = all, negative = off)")
+		flightN  = flag.Int("flight-buf", 8192, "flight recorder: ring capacity in events, shared by protocol events and sampled transaction lifecycles (negative = off, and no lifecycle tracing)")
 		stallThr = flag.Duration("stall-threshold", 0, "flight recorder: event-loop stall watchdog threshold (0 = default 500ms, negative = off)")
 		mirrorIv = flag.Duration("flight-mirror", 0, "flight recorder: crash-safe mirror period for <data-dir>/flight.bin (0 = default 2s, negative = off)")
 		timeline = flag.String("timeline", "", "scrape mode: comma-separated admin addresses and/or flight.bin paths; fetch every ring, merge into one causal cluster timeline on stdout, and exit")
@@ -166,14 +165,7 @@ func main() {
 	// every instrumented path degrades to a nil-check.
 	var metrics *obs.NodeMetrics
 	if *adminArg != "" {
-		metrics = obs.NewNodeMetrics(obs.NewRegistry(), *traceBuf, *traceN)
-		if *flightN >= 0 {
-			size := *flightN
-			if size == 0 {
-				size = 4096
-			}
-			metrics.Flight = flight.New(size)
-		}
+		metrics = obs.NewNodeMetrics(obs.NewRegistry(), *flightN, *traceN)
 	}
 
 	opts := core.Options{
@@ -280,7 +272,7 @@ func main() {
 	log.Printf("rccnode: replica %d/%d (%s) listening on %s", *id, *n, *protoArg, tcp.Addr())
 
 	if *adminArg != "" {
-		handler := obs.NewHandler(metrics.Registry(), metrics.Tracer, metrics.Flight, obs.Health{
+		handler := obs.NewHandler(metrics.Registry(), metrics.Flight, obs.Health{
 			// Liveness: the sticky durability error is fatal — a replica
 			// that cannot journal must be replaced, not retried.
 			Healthy: rep.DurabilityErr,
@@ -305,7 +297,7 @@ func main() {
 				log.Printf("rccnode: admin server: %v", err)
 			}
 		}()
-		log.Printf("rccnode: admin endpoints on http://%s (/metrics /healthz /readyz /debug/trace /debug/events /debug/pprof)", ln.Addr())
+		log.Printf("rccnode: admin endpoints on http://%s (/metrics /healthz /readyz /debug/events /debug/pprof)", ln.Addr())
 	}
 
 	done := make(chan struct{})

@@ -117,12 +117,12 @@
 // per-stage latency histograms (verify, consensus, unify, execute,
 // journal, ack),
 // consensus/WAL/transport/statesync counters, Go runtime self-metrics,
-// and a deterministic 1-in-N transaction lifecycle tracer — behind a
-// dependency-free, allocation-free metrics registry whose overhead CI
-// gates at ≤5% of the instrumented hot paths. rccnode -admin-addr serves
-// /metrics (Prometheus text format), /healthz (flips on the sticky
-// durability error), /readyz (journaling and caught up), /debug/trace,
-// /debug/events, and /debug/pprof. See internal/obs and the README's
+// and deterministic 1-in-N sampling of transaction lifecycles into the
+// flight recorder — behind a dependency-free, allocation-free metrics
+// registry whose overhead CI gates at ≤5% of the instrumented hot paths.
+// rccnode -admin-addr serves /metrics (Prometheus text format), /healthz
+// (flips on the sticky durability error), /readyz (journaling and caught
+// up), /debug/events, and /debug/pprof. See internal/obs and the README's
 // "Observability" section; rccbench -exp stages prints the same stage
 // breakdown against client-observed end-to-end latency.
 //
@@ -131,8 +131,9 @@
 // (view changes, suspects, checkpoint adoptions, instance decisions, wave
 // unifications, voids, recovery kicks, connect/reconnect/demotions,
 // fsync stalls, the sticky durability poison, snapshot commits, statesync
-// phase transitions and offer rejections with causes, and loop_stalled
-// from the event-loop watchdog). Dumps are cursor-based (?since=, text or
+// phase transitions and offer rejections with causes, loop_stalled from
+// the event-loop watchdog, and the txn_arrive ... txn_ack lifecycle stamps
+// of sampled transactions). Dumps are cursor-based (?since=, text or
 // binary), mirror crash-safely to <data-dir>/flight.bin (-flight-mirror,
 // plus immediately on durability poison), and merge across replicas into
 // one causally ordered cluster timeline with anomaly highlighting:

@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/bank"
 	"repro/internal/exec"
+	"repro/internal/obs"
+	"repro/internal/obs/flight"
 	"repro/internal/rcc"
 	"repro/internal/types"
 	"repro/internal/ycsb"
@@ -177,6 +179,85 @@ func TestConcurrentClients(t *testing.T) {
 	for i := 0; i < clients; i++ {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestTxnLifecycleAcrossReplicas: with every transaction sampled, each
+// replica stamps the lifecycle of what it orders into the shared flight
+// ring under its own id, so one flight.Merge yields every transaction's
+// per-replica history, in causal order.
+func TestTxnLifecycleAcrossReplicas(t *testing.T) {
+	met := obs.NewNodeMetrics(obs.NewRegistry(), 0, 1)
+	cluster, err := NewCluster(Options{N: 4, DataDir: t.TempDir(), AsyncJournal: true, Metrics: met})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	cluster.Start()
+
+	type txn struct{ client, seq uint64 }
+	cl := cluster.NewClient(0)
+	var acked []txn
+	for i := 0; i < 4; i++ {
+		comp, err := cl.Execute(ycsb.EncodeWrite(uint32(i), []byte("v")), 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acked = append(acked, txn{uint64(cl.ID()), comp.Seq})
+	}
+
+	// stamps[txn][replica][kind] is the stamp's position in Merge order.
+	stamps := func() map[txn]map[uint16]map[flight.Kind]int {
+		out := map[txn]map[uint16]map[flight.Kind]int{}
+		for pos, ev := range flight.Merge([]flight.Snapshot{met.Flight.Dump(0)}) {
+			if ev.Sub != flight.SubTxn {
+				continue
+			}
+			k := txn{ev.Detail, ev.Seq}
+			if out[k] == nil {
+				out[k] = map[uint16]map[flight.Kind]int{}
+			}
+			if out[k][ev.Replica] == nil {
+				out[k][ev.Replica] = map[flight.Kind]int{}
+			}
+			out[k][ev.Replica][ev.Kind] = pos
+		}
+		return out
+	}
+	// A replica stamps txn_ack just after enqueueing the reply, so the
+	// client can complete a moment before the f+1-th stamp lands.
+	const f = 1
+	var got map[txn]map[uint16]map[flight.Kind]int
+	waitFor(t, 5*time.Second, func() bool {
+		got = stamps()
+		for _, k := range acked {
+			ackers := 0
+			for _, kinds := range got[k] {
+				if _, ok := kinds[flight.KTxnAck]; ok {
+					ackers++
+				}
+			}
+			if ackers < f+1 {
+				return false
+			}
+		}
+		return true
+	})
+	order := []flight.Kind{flight.KTxnDecide, flight.KTxnExecute, flight.KTxnDurable, flight.KTxnAck}
+	for _, k := range acked {
+		for replica, kinds := range got[k] {
+			if _, ok := kinds[flight.KTxnAck]; !ok {
+				continue
+			}
+			for i := 1; i < len(order); i++ {
+				prev, okPrev := kinds[order[i-1]]
+				cur, okCur := kinds[order[i]]
+				if !okPrev || !okCur || prev > cur {
+					t.Errorf("client %d seq %d on replica %d: %s at %d (present %v), %s at %d (present %v)",
+						k.client, k.seq, replica, order[i-1], prev, okPrev, order[i], cur, okCur)
+				}
+			}
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/ledger"
 	"repro/internal/obs"
+	"repro/internal/obs/flight"
 	"repro/internal/types"
 )
 
@@ -84,16 +85,17 @@ type Engine struct {
 	journal  Journal
 	executed atomic.Uint64
 	met      *obs.NodeMetrics
+	replica  uint16 // stamps this engine's lifecycle events
 
 	// Per-batch scratch, reused across batches.
 	digests []types.Digest
 	hashBuf []byte
 }
 
-// SetMetrics attaches the replica's instrument catalog: the engine feeds
-// the execute- and journal-stage latency histograms. Nil (the default)
-// disables instrumentation.
-func (e *Engine) SetMetrics(m *obs.NodeMetrics) { e.met = m }
+// SetMetrics attaches the catalog of the given replica: the engine feeds
+// the execute- and journal-stage latency histograms and stamps txn_execute
+// for sampled transactions. Nil (the default) disables instrumentation.
+func (e *Engine) SetMetrics(m *obs.NodeMetrics, replica uint16) { e.met, e.replica = m, replica }
 
 // NewEngine creates an engine over app, journalling into j (which may be
 // nil to skip journalling, e.g. in micro-benchmarks).
@@ -185,6 +187,9 @@ func (e *Engine) execute(batch *types.Batch, proof ledger.Proof) Result {
 	e.hashBuf = h[:0]
 	if e.met != nil {
 		e.met.ObserveStage(obs.StageExecute, time.Since(start))
+		// Stamped here, before the journal submission, so a sampled
+		// transaction's txn_execute always precedes its txn_durable.
+		e.met.TraceBatch(e.replica, uint32(proof.Instance), batch, flight.KTxnExecute)
 	}
 	return Result{
 		Round:       proof.Round,

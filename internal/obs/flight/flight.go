@@ -1,9 +1,9 @@
 // Package flight is the replica's black-box flight recorder: a lock-free,
 // bounded ring of fixed-shape protocol events (view changes, suspicions,
 // instance decisions, unification waves, link demotions, fsync stalls,
-// statesync phases, loop stalls...) that survives long enough to explain an
-// incident after the fact. Counters say "how many"; the flight ring says
-// "in what order, across which replicas".
+// statesync phases, loop stalls, sampled transaction lifecycles...) that
+// survives long enough to explain an incident after the fact. Counters say
+// "how many"; the flight ring says "in what order, across which replicas".
 //
 // Design constraints, in priority order:
 //
@@ -49,6 +49,7 @@ const (
 	SubStore                    // wal + durable store
 	SubStateSync                // checkpoint/block-range transfer
 	SubRuntime                  // event loop, watchdog, lifecycle
+	SubTxn                      // sampled transaction lifecycle stamps
 )
 
 var subNames = map[Sub]string{
@@ -58,6 +59,7 @@ var subNames = map[Sub]string{
 	SubStore:     "store",
 	SubStateSync: "statesync",
 	SubRuntime:   "runtime",
+	SubTxn:       "txn",
 }
 
 func (s Sub) String() string {
@@ -104,6 +106,17 @@ const (
 
 	// runtime
 	KLoopStall // consensus event loop stopped draining; detail = stall ns
+
+	// txn: the lifecycle of a sampled client transaction; seq = the
+	// transaction's seq, detail = its client id, instance = the BCA instance
+	// that ordered it
+	KTxnArrive  // request admitted by a consensus instance (post-dedup)
+	KTxnAssign  // request routed to its instance (rcc)
+	KTxnPropose // the round carrying the request was proposed (pre-prepare seen)
+	KTxnDecide  // the round committed and was delivered by consensus
+	KTxnExecute // the batch was applied to the application
+	KTxnDurable // the journal record covering the batch was fsync'd
+	KTxnAck     // the client reply was enqueued
 )
 
 var kindNames = map[Kind]string{
@@ -128,6 +141,13 @@ var kindNames = map[Kind]string{
 	KCkptAttest:       "ckpt_attest",
 	KAttTarget:        "att_target",
 	KLoopStall:        "loop_stalled",
+	KTxnArrive:        "txn_arrive",
+	KTxnAssign:        "txn_assign",
+	KTxnPropose:       "txn_propose",
+	KTxnDecide:        "txn_decide",
+	KTxnExecute:       "txn_execute",
+	KTxnDurable:       "txn_durable",
+	KTxnAck:           "txn_ack",
 }
 
 func (k Kind) String() string {
@@ -304,7 +324,8 @@ func (s *Snapshot) WallTime(e Event) time.Time {
 // Dump reads every event with index >= since that is still in the ring.
 // Events overwritten between their stamp checks are dropped, never torn.
 // Dump(0) reads the whole ring; Dump(prev.Next) reads only what arrived
-// after the previous dump.
+// after the previous dump. A poller that lags by more than the ring size
+// misses the overwritten events, and sees the gap as FirstSeq > since.
 func (r *Recorder) Dump(since uint64) Snapshot {
 	snap := Snapshot{AnchorWall: time.Now().UnixNano()}
 	if r == nil {
@@ -415,19 +436,19 @@ func DecodeBinary(r io.Reader) (Snapshot, error) {
 	snap.AnchorMono = int64(binary.LittleEndian.Uint64(hdr[24:]))
 	snap.FirstSeq = binary.LittleEndian.Uint64(hdr[32:])
 	snap.Next = binary.LittleEndian.Uint64(hdr[40:])
-	count := int(binary.LittleEndian.Uint32(hdr[48:]))
-	snap.Events = make([]Event, 0, count)
-	buf := make([]byte, rec)
-	for i := 0; i < count; i++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			break // truncated tail: keep what we have
-		}
-		instance, replica, sub, kind := unpack4(binary.LittleEndian.Uint64(buf[32:]))
+	count := int64(binary.LittleEndian.Uint32(hdr[48:]))
+	// The header's count is untrusted: size the events by the bytes that
+	// actually arrive. A read error is a truncated tail like EOF, so it is
+	// dropped and the complete records before it are kept.
+	body, _ := io.ReadAll(io.LimitReader(r, count*int64(rec)))
+	snap.Events = make([]Event, 0, len(body)/rec)
+	for ; len(body) >= rec; body = body[rec:] {
+		instance, replica, sub, kind := unpack4(binary.LittleEndian.Uint64(body[32:]))
 		snap.Events = append(snap.Events, Event{
-			Mono:     int64(binary.LittleEndian.Uint64(buf[0:])),
-			Seq:      binary.LittleEndian.Uint64(buf[8:]),
-			View:     binary.LittleEndian.Uint64(buf[16:]),
-			Detail:   binary.LittleEndian.Uint64(buf[24:]),
+			Mono:     int64(binary.LittleEndian.Uint64(body[0:])),
+			Seq:      binary.LittleEndian.Uint64(body[8:]),
+			View:     binary.LittleEndian.Uint64(body[16:]),
+			Detail:   binary.LittleEndian.Uint64(body[24:]),
 			Instance: instance, Replica: replica, Sub: sub, Kind: kind,
 		})
 	}
@@ -481,6 +502,8 @@ func DetailString(e Event) string {
 		return "phase=" + Phase(e.Detail).String()
 	case KOfferReject:
 		return "reason=" + Reject(e.Detail).String()
+	case KTxnArrive, KTxnAssign, KTxnPropose, KTxnDecide, KTxnExecute, KTxnDurable, KTxnAck:
+		return fmt.Sprintf("client=%d", e.Detail)
 	default:
 		if e.Detail == 0 {
 			return ""
@@ -495,13 +518,18 @@ func DetailString(e Event) string {
 func WriteText(w io.Writer, snap Snapshot) {
 	fmt.Fprintf(w, "flight: %d events, ring cursor [%d, %d)\n", len(snap.Events), snap.FirstSeq, snap.Next)
 	for _, e := range snap.Events {
-		wall := snap.WallTime(e)
-		fmt.Fprintf(w, "%s r%d %-9s %-17s inst=%d view=%d seq=%d",
-			wall.Format("15:04:05.000000"), e.Replica, e.Sub, e.Kind, e.Instance, e.View, e.Seq)
-		if d := DetailString(e); d != "" {
-			fmt.Fprintf(w, " %s", d)
-		}
-		fmt.Fprintln(w)
+		writeEvent(w, snap.WallTime(e), e)
 	}
 	fmt.Fprintf(w, "next=%d\n", snap.Next)
+}
+
+// writeEvent renders one event as a text line; WriteText and WriteTimeline
+// share it so a ring dump and a merged timeline read the same.
+func writeEvent(w io.Writer, wall time.Time, e Event) {
+	fmt.Fprintf(w, "%s r%d %-9s %-17s inst=%d view=%d seq=%d",
+		wall.Format("15:04:05.000000"), e.Replica, e.Sub, e.Kind, e.Instance, e.View, e.Seq)
+	if d := DetailString(e); d != "" {
+		fmt.Fprintf(w, " %s", d)
+	}
+	fmt.Fprintln(w)
 }

@@ -2,8 +2,10 @@ package flight
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -179,6 +181,59 @@ func TestDecodeTruncatedTail(t *testing.T) {
 	if _, err := DecodeBinary(bytes.NewReader([]byte("not a dump at all........"))); err == nil {
 		t.Fatal("garbage decoded without error")
 	}
+	// A header claiming 2^32-1 records over an empty body must not size an
+	// allocation from the claim.
+	got, err = DecodeBinary(bytes.NewReader(hostileHeader(t)))
+	if err != nil || len(got.Events) != 0 {
+		t.Fatalf("hostile header decoded to %d events, err %v", len(got.Events), err)
+	}
+}
+
+// hostileHeader is a record-less 56-byte dump whose count field claims
+// 0xFFFFFFFF records.
+func hostileHeader(t testing.TB) []byte {
+	var buf bytes.Buffer
+	if err := EncodeBinary(&buf, Snapshot{Replica: 1}); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	binary.LittleEndian.PutUint32(b[48:], 0xFFFFFFFF)
+	return b
+}
+
+// FuzzDecodeBinary: decoding arbitrary bytes never panics, and whatever
+// decodes re-encodes to bytes that decode to the same snapshot.
+func FuzzDecodeBinary(f *testing.F) {
+	r := New(64)
+	r.Record(1, SubStateSync, KOfferReject, 0, 0, 17, uint64(RejectDigest))
+	r.Record(1, SubStore, KFsyncStall, 0, 0, 0, uint64(25*time.Millisecond))
+	r.Record(2, SubTxn, KTxnAck, 3, 0, 9, 4)
+	var buf bytes.Buffer
+	if err := EncodeBinary(&buf, r.Dump(0)); err != nil {
+		f.Fatal(err)
+	}
+	dump := buf.Bytes()
+	f.Add(dump)
+	f.Add(dump[:len(dump)-recordSize-7])
+	f.Add([]byte("not a dump at all........"))
+	f.Add(hostileHeader(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := DecodeBinary(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := EncodeBinary(&out, snap); err != nil {
+			t.Fatal(err)
+		}
+		again, err := DecodeBinary(&out)
+		if err != nil {
+			t.Fatalf("re-encoded dump does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(snap, again) {
+			t.Fatalf("decode -> encode -> decode changed the snapshot:\n%+v\n%+v", snap, again)
+		}
+	})
 }
 
 func TestWriteFileReadFile(t *testing.T) {

@@ -154,12 +154,7 @@ func WriteTimeline(w io.Writer, tl []TimelineEvent, anoms []Anomaly) {
 			fmt.Fprintf(w, "!! %s %s: %s\n", anoms[ai].At.Format("15:04:05.000000"), anoms[ai].Title, anoms[ai].Detail)
 			ai++
 		}
-		fmt.Fprintf(w, "%s r%d %-9s %-17s inst=%d view=%d seq=%d",
-			ev.Wall.Format("15:04:05.000000"), ev.Replica, ev.Sub, ev.Kind, ev.Instance, ev.View, ev.Seq)
-		if d := DetailString(ev.Event); d != "" {
-			fmt.Fprintf(w, " %s", d)
-		}
-		fmt.Fprintln(w)
+		writeEvent(w, ev.Wall, ev.Event)
 	}
 	for ; ai < len(anoms); ai++ {
 		fmt.Fprintf(w, "!! %s %s: %s\n", anoms[ai].At.Format("15:04:05.000000"), anoms[ai].Title, anoms[ai].Detail)

@@ -26,15 +26,15 @@ type Health struct {
 //	/metrics       Prometheus text exposition of reg
 //	/healthz       liveness probe (503 once durability is poisoned)
 //	/readyz        readiness probe (503 until caught up and journaling)
-//	/debug/trace   lifecycle tracer ring dump; ?since=<cursor> for only-new
-//	/debug/events  flight recorder dump; ?since=<cursor>, ?format=bin|text
+//	/debug/events  flight recorder dump (protocol events and sampled
+//	               transaction lifecycles); ?since=<cursor>, ?format=bin|text
 //	/debug/pprof   Go runtime profiles
 //
-// Both ring endpoints share the cursor contract: each response ends with
-// (text) or carries in its header (binary) a `next` cursor; passing it back
-// as ?since= returns only events recorded after the previous poll. fr may
-// be nil (flight recording disabled).
-func NewHandler(reg *Registry, tr *Tracer, fr *flight.Recorder, h Health) http.Handler {
+// /debug/events follows a cursor contract: each response ends with (text)
+// or carries in its header (binary) a `next` cursor; passing it back as
+// ?since= returns only events recorded after the previous poll. fr may be
+// nil (flight recording disabled).
+func NewHandler(reg *Registry, fr *flight.Recorder, h Health) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -42,18 +42,6 @@ func NewHandler(reg *Registry, tr *Tracer, fr *flight.Recorder, h Health) http.H
 	})
 	mux.HandleFunc("/healthz", probe(h.Healthy))
 	mux.HandleFunc("/readyz", probe(h.Ready))
-	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if tr == nil {
-			fmt.Fprintln(w, "trace: tracing disabled")
-			return
-		}
-		since, ok := sinceParam(w, r)
-		if !ok {
-			return
-		}
-		tr.WriteTextSince(w, since)
-	})
 	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
 		if fr == nil {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")

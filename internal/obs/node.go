@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/obs/flight"
+	"repro/internal/types"
 )
 
 // Stage is one segment of a transaction's server-side lifecycle. The
@@ -62,22 +63,20 @@ func Stages() []Stage {
 }
 
 // NodeMetrics is the replica's instrument catalog: per-stage latency
-// histograms, consensus/runtime counters, and the lifecycle tracer. One
-// NodeMetrics is shared by every layer of a replica (pbft, rcc, exec, wal,
-// runtime), all feeding one Registry.
+// histograms, consensus/runtime counters, and the flight recorder, which
+// holds both protocol events and the lifecycle stamps of a 1-in-N sample
+// of transactions. One NodeMetrics is shared by every layer of a replica
+// (pbft, rcc, exec, wal, runtime), all feeding one Registry.
 //
 // A nil *NodeMetrics — and equally a zero NodeMetrics, whose instrument
 // fields are all nil — is the no-op sink: every method and every instrument
 // call is safe and free-ish, so instrumented code needs no conditional
 // plumbing.
 type NodeMetrics struct {
-	// Tracer samples transaction lifecycles; nil disables tracing.
-	Tracer *Tracer
-
-	// Flight is the black-box protocol-event recorder; nil disables it.
-	// Every subsystem holding this catalog emits into the same ring —
-	// events carry their replica id, so one ring serves an in-process
-	// cluster as well as a single node.
+	// Flight is the black-box event recorder; nil disables it, and with it
+	// lifecycle tracing. Every subsystem holding this catalog emits into
+	// the same ring — events carry their replica id, so one ring serves an
+	// in-process cluster as well as a single node.
 	Flight *flight.Recorder
 
 	// Requests counts client requests admitted by consensus instances
@@ -100,15 +99,21 @@ type NodeMetrics struct {
 
 	reg    *Registry
 	stages [numStages]*Histogram
+	sample uint64 // trace 1 in sample transactions; 0 = tracing off
 }
 
 // NewNodeMetrics builds the catalog, registering every instrument in reg.
-// traceSize and traceSample parameterize the lifecycle tracer (zero values
-// pick defaults); traceSample < 0 disables tracing entirely.
-func NewNodeMetrics(reg *Registry, traceSize, traceSample int) *NodeMetrics {
+// ringSize sizes the flight ring (0 = flight.DefaultSize); a negative
+// ringSize disables the ring and with it tracing. traceSample traces one
+// transaction in traceSample (0 or 1 = every one); a negative traceSample
+// disables tracing.
+func NewNodeMetrics(reg *Registry, ringSize, traceSample int) *NodeMetrics {
 	m := &NodeMetrics{reg: reg}
-	if traceSample >= 0 {
-		m.Tracer = NewTracer(traceSize, traceSample)
+	if ringSize >= 0 {
+		m.Flight = flight.New(ringSize)
+		if traceSample >= 0 {
+			m.sample = uint64(max(traceSample, 1))
+		}
 	}
 	const stageHelp = "per-stage transaction latency: verify (frame staged to authenticated), consensus (proposal seen to decided), unify (decided to unified order), execute (state machine apply), journal (submit to durable), ack (delivered to replies enqueued)"
 	for s := Stage(0); s < numStages; s++ {
@@ -122,7 +127,6 @@ func NewNodeMetrics(reg *Registry, traceSize, traceSample int) *NodeMetrics {
 	m.ViewChanges = reg.Counter("rcc_view_changes_total", "", "new views installed")
 	m.Acks = reg.Counter("rcc_acks_sent_total", "", "client reply messages enqueued")
 	m.WALFsync = reg.Histogram("wal_fsync_seconds", "", "async appender commit-point (fsync) latency")
-	m.Flight = flight.New(0)
 	registerRuntimeMetrics(reg)
 	return m
 }
@@ -247,19 +251,51 @@ func (m *NodeMetrics) Stage(s Stage) *Histogram {
 	return m.stages[s]
 }
 
-// Tracing reports whether lifecycle tracing is live — instrumented code
-// uses it to skip per-transaction loops entirely when no tracer is
-// attached.
+// Tracing reports whether lifecycle tracing is live — a ring exists and
+// sampling is on. Instrumented code uses it to skip per-transaction loops
+// entirely when it is not.
 func (m *NodeMetrics) Tracing() bool {
-	return m != nil && m.Tracer != nil
+	return m != nil && m.Flight != nil && m.sample != 0
 }
 
-// Trace stamps point for the transaction if it is sampled.
-func (m *NodeMetrics) Trace(client, seq uint64, p TracePoint) {
-	if m == nil {
+// Sampled reports whether the transaction (client, seq) is in the trace
+// sample. The decision is a stateless hash, so every replica — and every
+// stage on one replica — samples the same transactions.
+func (m *NodeMetrics) Sampled(client, seq uint64) bool {
+	if m == nil || m.sample == 0 {
+		return false
+	}
+	if m.sample == 1 {
+		return true
+	}
+	h := (client + 1) * 0x9E3779B97F4A7C15
+	h ^= (seq + 1) * 0xBF58476D1CE4E5B9
+	h ^= h >> 29
+	return h%m.sample == 0
+}
+
+// Trace records lifecycle point k (one of the flight.KTxn* kinds) for the
+// transaction (client, seq) as seen by replica on instance, if the
+// transaction is sampled.
+func (m *NodeMetrics) Trace(replica uint16, instance uint32, client, seq uint64, k flight.Kind) {
+	if !m.Sampled(client, seq) {
 		return
 	}
-	m.Tracer.Record(client, seq, p)
+	m.Flight.Record(replica, flight.SubTxn, k, instance, 0, seq, client)
+}
+
+// TraceBatch records lifecycle point k for every sampled client
+// transaction of batch; no-op fillers are skipped. It costs one branch
+// when tracing is off.
+func (m *NodeMetrics) TraceBatch(replica uint16, instance uint32, batch *types.Batch, k flight.Kind) {
+	if !m.Tracing() || batch == nil {
+		return
+	}
+	for i := range batch.Txns {
+		if tx := &batch.Txns[i]; !tx.IsNoOp() {
+			m.Trace(replica, instance, uint64(tx.Client), tx.Seq, k)
+		}
+	}
 }
 
 // Emit records a flight event; a nil catalog or nil recorder is a no-op,

@@ -1,10 +1,11 @@
 package obs
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs/flight"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -27,24 +28,22 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var c *Counter
 	var g *Gauge
 	var h *Histogram
-	var tr *Tracer
 	var m *NodeMetrics
 	c.Add(1)
 	c.Inc()
 	g.Set(1)
 	g.Add(1)
 	h.Observe(time.Second)
-	tr.Record(1, 1, PointArrive)
-	m.Trace(1, 1, PointArrive)
+	m.Trace(0, 0, 1, 1, flight.KTxnArrive)
 	m.ObserveStage(StageAck, time.Second)
-	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 || tr.Sampled(1, 1) || m.Stage(StageAck) != nil || m.Tracing() {
+	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 || m.Sampled(1, 1) || m.Stage(StageAck) != nil || m.Tracing() {
 		t.Fatal("nil instruments must be inert")
 	}
 	var zero NodeMetrics
 	zero.Requests.Inc()
 	zero.ObserveStage(StageExecute, time.Second)
-	zero.Trace(1, 1, PointAck)
-	if zero.Requests.Value() != 0 {
+	zero.Trace(0, 0, 1, 1, flight.KTxnAck)
+	if zero.Requests.Value() != 0 || zero.Tracing() {
 		t.Fatal("zero-value NodeMetrics must be a no-op sink")
 	}
 }
@@ -170,20 +169,26 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestTracerSamplingAndRing(t *testing.T) {
-	tr := NewTracer(8, 1) // sample everything, tiny ring
-	for i := uint64(0); i < 12; i++ {
-		tr.Record(1, i, PointArrive)
+// TestTraceSampling pins the 1-in-N verdicts: the hash must not drift, or
+// replicas running different builds would sample different transactions
+// and no lifecycle would merge across them.
+func TestTraceSampling(t *testing.T) {
+	m := NewNodeMetrics(NewRegistry(), 0, 64)
+	// Every sampled (client, seq) with client in 1..16 and seq in 1..64.
+	want := map[[2]uint64]bool{
+		{1, 48}: true, {1, 50}: true, {2, 32}: true, {2, 34}: true, {5, 63}: true,
+		{7, 20}: true, {9, 21}: true, {9, 29}: true, {10, 37}: true, {11, 22}: true,
+		{12, 55}: true, {12, 59}: true, {15, 24}: true, {15, 41}: true, {16, 57}: true,
 	}
-	evs := tr.Dump()
-	if len(evs) != 8 {
-		t.Fatalf("ring holds %d events, want 8", len(evs))
-	}
-	if evs[0].Seq != 4 || evs[7].Seq != 11 {
-		t.Fatalf("ring kept seqs %d..%d, want 4..11", evs[0].Seq, evs[7].Seq)
+	for c := uint64(1); c <= 16; c++ {
+		for seq := uint64(1); seq <= 64; seq++ {
+			if got := m.Sampled(c, seq); got != want[[2]uint64{c, seq}] {
+				t.Errorf("Sampled(%d, %d) = %v at 1-in-64", c, seq, got)
+			}
+		}
 	}
 
-	sampled := NewTracer(64, 16)
+	sampled := NewNodeMetrics(NewRegistry(), 0, 16)
 	hits := 0
 	for seq := uint64(0); seq < 16000; seq++ {
 		if sampled.Sampled(3, seq) {
@@ -194,24 +199,39 @@ func TestTracerSamplingAndRing(t *testing.T) {
 	if hits < 500 || hits > 1500 {
 		t.Fatalf("sampled %d of 16000 at 1-in-16", hits)
 	}
-	// The decision must be stable: every stage sees the same verdict.
-	if sampled.Sampled(3, 77) != sampled.Sampled(3, 77) {
-		t.Fatal("sampling not deterministic")
+	for _, n := range []int{0, 1} {
+		if all := NewNodeMetrics(NewRegistry(), 0, n); !all.Sampled(3, 77) {
+			t.Errorf("traceSample %d must sample every transaction", n)
+		}
+	}
+
+	// A sampled transaction lands in the flight ring as a txn event.
+	all := NewNodeMetrics(NewRegistry(), 0, 1)
+	all.Trace(2, 1, 9, 5, flight.KTxnAck)
+	evs := all.Flight.Dump(0).Events
+	if len(evs) != 1 {
+		t.Fatalf("ring holds %d events, want 1", len(evs))
+	}
+	if e := evs[0]; e.Replica != 2 || e.Instance != 1 || e.Sub != flight.SubTxn || e.Kind != flight.KTxnAck ||
+		e.Seq != 5 || e.Detail != 9 || flight.DetailString(e) != "client=9" {
+		t.Fatalf("lifecycle event = %+v", e)
 	}
 }
 
-func TestTracerWriteText(t *testing.T) {
-	tr := NewTracer(16, 1)
-	tr.Record(2, 5, PointArrive)
-	tr.Record(2, 5, PointDecide)
-	tr.Record(2, 5, PointAck)
-	var sb strings.Builder
-	tr.WriteText(&sb)
-	out := sb.String()
-	for _, want := range []string{"client=2 seq=5", "arrive+", "decide+", "ack+"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("trace dump missing %q:\n%s", want, out)
-		}
+// TestNegativeRingDisablesRecording: a negative ringSize means no flight
+// ring at all — nothing recorded, nothing to mirror, and no tracing even
+// with sampling on.
+func TestNegativeRingDisablesRecording(t *testing.T) {
+	m := NewNodeMetrics(NewRegistry(), -1, 1)
+	if m.Flight != nil {
+		t.Fatal("negative ringSize installed a flight ring")
+	}
+	if m.Tracing() || m.Sampled(1, 1) {
+		t.Fatal("tracing is on without a ring")
+	}
+	m.Trace(0, 0, 1, 1, flight.KTxnArrive) // must not panic
+	if off := NewNodeMetrics(NewRegistry(), 0, -1); off.Flight == nil || off.Tracing() {
+		t.Fatal("negative traceSample must keep the ring and turn tracing off")
 	}
 }
 

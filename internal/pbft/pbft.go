@@ -493,7 +493,7 @@ func (p *Instance) onClientRequest(from sm.Source, m *types.ClientRequest) {
 	p.pending = append(p.pending, m.Tx)
 	if met := p.cfg.Metrics; met != nil {
 		met.Requests.Inc()
-		met.Trace(uint64(m.Tx.Client), m.Tx.Seq, obs.PointArrive)
+		met.Trace(uint16(p.env.ID()), uint32(p.cfg.Instance), uint64(m.Tx.Client), m.Tx.Seq, flight.KTxnArrive)
 	}
 	if !p.IsPrimary() {
 		// A backup starts its failure-detection timer when it learns
@@ -546,11 +546,8 @@ func (p *Instance) onPrePrepare(from types.ReplicaID, m *types.PrePrepare) {
 	rd.batch = m.Batch
 	rd.preprepared = true
 	rd.seenAt = p.env.Now()
-	if met := p.cfg.Metrics; met.Tracing() {
-		for i := range m.Batch.Txns {
-			tx := &m.Batch.Txns[i]
-			met.Trace(uint64(tx.Client), tx.Seq, obs.PointPropose)
-		}
+	if met := p.cfg.Metrics; met != nil {
+		met.TraceBatch(uint16(p.env.ID()), uint32(p.cfg.Instance), m.Batch, flight.KTxnPropose)
 	}
 	p.armTimer()
 
@@ -627,12 +624,7 @@ func (p *Instance) tryDeliver() {
 			if rd.seenAt > 0 {
 				met.ObserveStage(obs.StageConsensus, p.env.Now()-rd.seenAt)
 			}
-			if met.Tracing() && rd.batch != nil {
-				for i := range rd.batch.Txns {
-					tx := &rd.batch.Txns[i]
-					met.Trace(uint64(tx.Client), tx.Seq, obs.PointDecide)
-				}
-			}
+			met.TraceBatch(uint16(p.env.ID()), uint32(p.cfg.Instance), rd.batch, flight.KTxnDecide)
 		}
 		p.env.Deliver(sm.Decision{
 			Instance: p.cfg.Instance,

@@ -402,7 +402,7 @@ func (r *Replica) routeClientRequest(from sm.Source, m *types.ClientRequest) {
 	}
 	inst := r.Assignment(c)
 	if met := r.cfg.Metrics; met != nil {
-		met.Trace(uint64(c), m.Tx.Seq, obs.PointAssign)
+		met.Trace(uint16(r.env.ID()), uint32(inst), uint64(c), m.Tx.Seq, flight.KTxnAssign)
 	}
 	fwd := types.NewClientRequest(inst, m.Tx)
 	r.states[inst].inst.OnMessage(from, fwd)

@@ -53,7 +53,7 @@ func TestAdminHealthFlipsOnDurabilityFailure(t *testing.T) {
 	}
 	defer stopAll(reps, hub)
 
-	handler := obs.NewHandler(met.Registry(), met.Tracer, met.Flight, obs.Health{
+	handler := obs.NewHandler(met.Registry(), met.Flight, obs.Health{
 		Healthy: reps[3].DurabilityErr,
 		Ready:   reps[3].DurabilityErr,
 	})

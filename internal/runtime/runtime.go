@@ -292,7 +292,7 @@ func New(cfg Config) (*Replica, error) {
 		r.log = dl.Memory()
 		journal = durableJournal{r}
 		r.engine = exec.NewEngine(cfg.App, journal)
-		r.engine.SetMetrics(cfg.Metrics)
+		r.engine.SetMetrics(cfg.Metrics, uint16(cfg.ID))
 		r.engine.Restore(txns)
 		r.initStateSync()
 		r.registerMetrics()
@@ -304,7 +304,7 @@ func New(cfg Config) (*Replica, error) {
 		journal = l
 	}
 	r.engine = exec.NewEngine(cfg.App, journal)
-	r.engine.SetMetrics(cfg.Metrics)
+	r.engine.SetMetrics(cfg.Metrics, uint16(cfg.ID))
 	r.registerMetrics()
 	return r, nil
 }
@@ -1029,9 +1029,7 @@ func (e *replicaEnv) Deliver(d sm.Decision) {
 				// let clients collect f+1 replies from healthy replicas.
 				return
 			}
-			if met.Tracing() {
-				traceBatch(met, d.Batch, obs.PointDurable)
-			}
+			met.TraceBatch(uint16(r.cfg.ID), uint32(d.Instance), d.Batch, flight.KTxnDurable)
 			e.ackClients(d, nres)
 			if met != nil {
 				met.ObserveStage(obs.StageAck, time.Since(delivAt))
@@ -1043,9 +1041,6 @@ func (e *replicaEnv) Deliver(d sm.Decision) {
 	r.mu.Lock()
 	r.executed += uint64(res.TxnExecuted)
 	r.mu.Unlock()
-	if met.Tracing() {
-		traceBatch(met, d.Batch, obs.PointExecute)
-	}
 	if r.cfg.Journaling.SnapshotEvery > 0 && res.Block != nil &&
 		(res.Block.Height+1)%r.cfg.Journaling.SnapshotEvery == 0 {
 		if _, ok := r.cfg.Machine.(sm.BoundarySyncable); ok {
@@ -1063,17 +1058,6 @@ func (e *replicaEnv) Deliver(d sm.Decision) {
 	e.ackClients(d, res)
 	if met != nil {
 		met.ObserveStage(obs.StageAck, time.Since(delivAt))
-	}
-}
-
-// traceBatch stamps one lifecycle point for every sampled transaction of a
-// batch.
-func traceBatch(met *obs.NodeMetrics, batch *types.Batch, p obs.TracePoint) {
-	for i := range batch.Txns {
-		tx := &batch.Txns[i]
-		if !tx.IsNoOp() {
-			met.Trace(uint64(tx.Client), tx.Seq, p)
-		}
 	}
 }
 
@@ -1166,7 +1150,7 @@ func (e *replicaEnv) ackClients(d sm.Decision, res exec.Result) {
 		e.SendClient(tx.Client, reply)
 		if met != nil {
 			met.Acks.Inc()
-			met.Trace(uint64(tx.Client), tx.Seq, obs.PointAck)
+			met.Trace(uint16(r.cfg.ID), uint32(d.Instance), uint64(tx.Client), tx.Seq, flight.KTxnAck)
 		}
 	}
 }

@@ -308,6 +308,9 @@ func TestTCPBatchesBursts(t *testing.T) {
 		}
 	}
 	s1.wait(t, burst)
+	// The writer bumps its counters after conn.Write returns, so the
+	// receiver can see the last frame before the sender has counted it.
+	waitCond(t, 5*time.Second, func() bool { return t0.Stats().MsgsSent >= burst })
 	st := t0.Stats()
 	if st.MsgsSent != burst {
 		t.Fatalf("sent %d msgs, want %d", st.MsgsSent, burst)

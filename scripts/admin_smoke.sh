@@ -4,8 +4,9 @@
 # /readyz goes 200 on every replica, that /metrics parses far enough to carry
 # the key series, that the per-stage latency histograms actually observed
 # the transactions the client executed, and that every replica's flight
-# recorder (/debug/events) captured protocol events — the live-cluster
-# acceptance check for the observability layer. The cluster runs with -auth ds (signed frames,
+# recorder (/debug/events) captured protocol events and replica 0's ring the
+# sampled transaction lifecycles — the live-cluster acceptance check for the
+# observability layer. The cluster runs with -auth ds (signed frames,
 # verify worker pool, digest cache), so the verify-stage histogram and the
 # verified-frames counter must move too — the CLI-level acceptance check for
 # the authentication layer.
@@ -111,8 +112,17 @@ if [ "${DECIDED%.*}" -lt 1 ]; then
   exit 1
 fi
 
-# The lifecycle tracer must have sampled something.
-curl -fsS "http://127.0.0.1:7704/debug/trace" | head -n 5
+# Lifecycle tracing: rccclient runs as client 1, and its seqs 48 and 50 are
+# in the default 1-in-64 sample (TestTraceSampling pins the verdicts), so
+# replica 0's ring must carry their txn_ack stamps.
+EVENTS=$(curl -fsS "http://127.0.0.1:7704/debug/events")
+ACKS=$(grep -Ec ' txn_ack +inst=[0-9]+ view=0 seq=(48|50) client=1$' <<<"$EVENTS") || true
+if [ "$ACKS" -lt 1 ]; then
+  echo "FAIL: replica 0 /debug/events carries no txn_ack for client 1 seq 48 or 50:" >&2
+  grep -F ' txn ' <<<"$EVENTS" | head -n 10 >&2 || true
+  exit 1
+fi
+echo "OK: /debug/events carries sampled lifecycles ($(grep -c ' txn_' <<<"$EVENTS") txn events on replica 0)"
 
 # The flight recorder must be populated on every replica: after this much
 # load each text dump has to carry protocol events (a decided round records
