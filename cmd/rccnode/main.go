@@ -120,12 +120,11 @@ func main() {
 		digCache = flag.Int("digest-cache", 0, "verified client-request digest cache entries, shared across instances (0 off)")
 		statsSec = flag.Int("stats", 10, "stats print interval in seconds (0 off)")
 		dataDir  = flag.String("data-dir", "", "durable storage directory: journal decided blocks through a WAL and resume from it on restart")
-		syncMode = flag.String("sync", "group", "WAL durability with -data-dir: group (batched fsync), always (fsync per block), none")
+		syncMode = flag.String("sync", "group", "WAL durability with -data-dir: group (in-flight blocks share one fsync), always (one fsync per block), none (flush to the OS, no fsync); client acks always wait for the block's commit point")
 		snapEach = flag.Uint64("snapshot-every", 1024, "persist an application checkpoint every N blocks with -data-dir (0 off)")
 		walPrune = flag.Bool("wal-prune", false, "with -data-dir and -snapshot-every: reclaim WAL segments below each persisted checkpoint; restart replays from the pinned checkpoint instead of genesis")
-		asyncJnl = flag.Bool("async-journal", true, "pipeline WAL fsyncs off the consensus event loop: client acks wait for durability, many blocks share each fsync")
-		jnlQueue = flag.Int("journal-queue", 0, "async journal: max blocks executed but not yet durable before execution back-pressures (0 = default 1024)")
-		jnlBatch = flag.Int64("journal-batch-bytes", 0, "async journal: max WAL bytes per fsync batch (0 = default 8 MiB)")
+		jnlQueue = flag.Int("journal-queue", 0, "journal: max blocks executed but not yet durable before execution back-pressures (0 = default 1024)")
+		jnlBatch = flag.Int64("journal-batch-bytes", 0, "journal: max WAL bytes per fsync batch (0 = default 8 MiB)")
 		sendQ    = flag.Int("send-queue", 0, "per-peer outbound queue depth: messages buffered per replica link before backpressure (0 = default 4096)")
 		clientQ  = flag.Int("client-queue", 0, "per-client reply queue depth: replies buffered per client link before dropping (0 = default 1024)")
 		sendB    = flag.Int("send-batch-bytes", 0, "max encoded bytes coalesced into one multi-message frame per write syscall (0 = default 128 KiB)")
@@ -186,12 +185,6 @@ func main() {
 		durability = wal.SyncGroup
 	case "always":
 		durability = wal.SyncAlways
-		if *asyncJnl {
-			// "always" is an explicit request for one fsync per block;
-			// the async committer would silently batch them instead.
-			log.Printf("rccnode: -sync always requests a per-block fsync, disabling -async-journal")
-			*asyncJnl = false
-		}
 	case "none":
 		durability = wal.SyncNone
 	default:
@@ -211,7 +204,6 @@ func main() {
 		DataDir: *dataDir,
 		Journaling: runtime.JournalOptions{
 			Sync:          durability,
-			Async:         *asyncJnl,
 			QueueDepth:    *jnlQueue,
 			MaxBatchBytes: *jnlBatch,
 			SnapshotEvery: *snapEach,

@@ -11,7 +11,7 @@
 // Durable storage: replicas configured with a data directory
 // (runtime.Config.DataDir, core.Options.DataDir, rccnode -data-dir)
 // journal every decided block through a segmented, CRC-checked,
-// group-commit write-ahead log (internal/wal) and persist execution-state
+// pipelined write-ahead log (internal/wal) and persist execution-state
 // checkpoints (internal/store) — RCC's dynamic per-need checkpoints
 // (§III-D) double as the durable recovery points. A restarted replica
 // replays the log (truncating a torn tail, refusing corruption), restores
@@ -22,19 +22,18 @@
 // stamped with a replica identity and format version on first open and
 // refuse to serve a different replica or a newer format.
 //
-// Async pipelined durability: with runtime.Config.Journaling.Async (rccnode
-// -async-journal, on by default there) the fsync leaves the consensus
-// event loop. Executed blocks are handed to a background committer over a
-// bounded in-flight queue (-journal-queue), many blocks share each commit
-// point (-journal-batch-bytes caps the batch), and the client replies for
-// a block wait for its WAL record to be reported durable — under an
-// fsyncing policy an acknowledged transaction survives any crash (with
-// -sync none the commit point is flush-only: process-crash-safe, not
-// power-loss-safe), while the per-block fsync stall is gone
-// (BenchmarkAsyncJournal measures the speedup; records/fsync shows the
-// amortization). When the queue fills, execution back-pressures; shutdown
-// and checkpoints drain it so snapshots never outrun the journal. See
-// internal/wal's package documentation for the pipeline design.
+// Pipelined durability: the fsync never runs on the consensus event loop.
+// Every executed block is handed to the WAL's background committer over a
+// bounded in-flight queue (-journal-queue), and the client replies for a
+// block wait for its WAL record to be reported durable. The sync policy
+// (-sync) decides what one commit point covers: group (the default) lets
+// many in-flight blocks share one fsync (-journal-batch-bytes caps the
+// batch; BenchmarkAsyncJournal reports records/fsync), always gives every
+// block its own fsync, and none is flush-only (process-crash-safe, not
+// power-loss-safe). Under an fsyncing policy an acknowledged transaction
+// survives any crash. When the queue fills, execution back-pressures;
+// shutdown and checkpoints drain it so snapshots never outrun the journal.
+// See internal/wal's package documentation for the pipeline design.
 //
 // Non-blocking messaging layer: no network I/O or encoding ever runs on
 // the consensus event loop. Send and SendClient on every transport
@@ -86,11 +85,12 @@
 // types.StateKey), which the engine does not call.
 //
 // Compatibility note: runtime.Config's flat durability and state-sync
-// knobs are grouped — Durability/AsyncJournal/JournalQueueDepth/
-// JournalMaxBatchBytes/SnapshotEvery became the Journaling
-// (runtime.JournalOptions) group, the StateSync*/SnapshotChunk fields
-// became the StateSync (runtime.StateSyncOptions) group. core.Options and
-// the rccnode flags are unchanged.
+// knobs are grouped — Durability/JournalQueueDepth/JournalMaxBatchBytes/
+// SnapshotEvery became the Journaling (runtime.JournalOptions) group, the
+// StateSync*/SnapshotChunk fields became the StateSync
+// (runtime.StateSyncOptions) group. The synchronous journal is gone:
+// JournalOptions.Async is deprecated and ignored, and the core option and
+// rccnode flag that chose between the two journals were removed.
 //
 // Frame authentication at line rate: internal/crypto implements the
 // paper's Fig. 7-right schemes as production hot paths. NewMAC precomputes

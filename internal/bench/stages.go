@@ -31,13 +31,12 @@ func Stages() (*Table, error) {
 
 	met := obs.NewNodeMetrics(obs.NewRegistry(), 0, -1)
 	cluster, err := core.NewCluster(core.Options{
-		N:            n,
-		Protocol:     core.RCC,
-		BatchSize:    1,
-		Window:       8,
-		DataDir:      dir,
-		AsyncJournal: true,
-		Metrics:      met,
+		N:         n,
+		Protocol:  core.RCC,
+		BatchSize: 1,
+		Window:    8,
+		DataDir:   dir,
+		Metrics:   met,
 	})
 	if err != nil {
 		return nil, err
@@ -75,7 +74,7 @@ func Stages() (*Table, error) {
 
 	t := &Table{
 		ID:     "stages",
-		Title:  "per-stage latency breakdown (RCC n=4, async journal, in-process transport)",
+		Title:  "per-stage latency breakdown (RCC n=4, pipelined journal, in-process transport)",
 		Header: []string{"stage", "count", "p50-ms", "p95-ms", "p99-ms", "max-ms"},
 	}
 	ms := func(d time.Duration) string { return fmt.Sprintf("%.3f", float64(d)/1e6) }

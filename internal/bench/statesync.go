@@ -74,7 +74,6 @@ func runStateSyncScenario(name string, records, blocks int, snapEvery uint64, wi
 			App:     ycsb.NewStore(records),
 			DataDir: filepath.Join(base, fmt.Sprintf("replica-%d", id)),
 			Journaling: runtime.JournalOptions{
-				Async:         true,
 				SnapshotEvery: snapEvery,
 			},
 			ReplyToClients: true,

@@ -239,7 +239,6 @@ func (c *Cluster) boot(n *node, listen string) error {
 		App:     ycsb.NewStore(c.cfg.Records),
 		DataDir: n.dir,
 		Journaling: runtime.JournalOptions{
-			Async:         true,
 			SnapshotEvery: c.cfg.SnapshotEvery,
 			PruneWAL:      true,
 			Failpoints:    n.fp,

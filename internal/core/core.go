@@ -87,10 +87,6 @@ type Options struct {
 	// Durability selects the WAL sync policy when DataDir is set
 	// (default group commit).
 	Durability wal.SyncPolicy
-	// AsyncJournal pipelines durability when DataDir is set: fsyncs leave
-	// the event loop and client acks wait for the durable LSN (see
-	// runtime.Config.AsyncJournal).
-	AsyncJournal bool
 	// SnapshotEvery persists application checkpoints every N blocks when
 	// DataDir is set (see runtime.Config.SnapshotEvery).
 	SnapshotEvery uint64
@@ -234,7 +230,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 			Journal: opts.Journal,
 			Journaling: runtime.JournalOptions{
 				Sync:          opts.Durability,
-				Async:         opts.AsyncJournal,
 				SnapshotEvery: opts.SnapshotEvery,
 			},
 			ReplyToClients: true,

@@ -189,7 +189,7 @@ func TestConcurrentClients(t *testing.T) {
 // per-replica history, in causal order.
 func TestTxnLifecycleAcrossReplicas(t *testing.T) {
 	met := obs.NewNodeMetrics(obs.NewRegistry(), 0, 1)
-	cluster, err := NewCluster(Options{N: 4, DataDir: t.TempDir(), AsyncJournal: true, Metrics: met})
+	cluster, err := NewCluster(Options{N: 4, DataDir: t.TempDir(), Metrics: met})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,23 +56,28 @@ type Result struct {
 	TxnExecuted int
 }
 
-// Journal is where the engine appends executed blocks. *ledger.Ledger is
-// the in-memory implementation; the durable storage subsystem
-// (internal/store wired through internal/runtime) provides a WAL-backed
-// one. Pass an untyped nil to skip journalling.
+// Journal is where the engine appends executed blocks. Append joins the
+// block to the chain and returns it without waiting for the disk; done fires
+// exactly once — possibly before Append returns, possibly on another
+// goroutine — with nil once the block is durable, or with the journal's
+// sticky error, after which the block must not be acknowledged to clients.
+// The durable storage subsystem (internal/store wired through
+// internal/runtime) provides the WAL-backed journal; InMemory adapts the
+// in-memory ledger.
 type Journal interface {
-	Append(batch *types.Batch, proof ledger.Proof, state types.Digest) *ledger.Block
+	Append(batch *types.Batch, proof ledger.Proof, state types.Digest, done func(err error)) *ledger.Block
 }
 
-// AsyncJournal is the pipelined journal surface: AppendAsync returns as
-// soon as the block joins the chain and the record is handed to the
-// journal's committer; done fires exactly once — possibly before
-// AppendAsync returns — with nil once the record is durable, or with the
-// journal's sticky error, after which the block must not be acknowledged
-// to clients. Implementations may run done on a background goroutine.
-type AsyncJournal interface {
-	Journal
-	AppendAsync(batch *types.Batch, proof ledger.Proof, state types.Digest, done func(err error)) *ledger.Block
+// InMemory journals into l. Nothing outlives the process, so a block counts
+// as durable as soon as it joins the chain and done fires inline.
+func InMemory(l *ledger.Ledger) Journal { return memJournal{l} }
+
+type memJournal struct{ l *ledger.Ledger }
+
+func (m memJournal) Append(batch *types.Batch, proof ledger.Proof, state types.Digest, done func(error)) *ledger.Block {
+	blk := m.l.Append(batch, proof, state)
+	done(nil)
+	return blk
 }
 
 // Engine applies ordered batches to an Application and journals them.
@@ -103,60 +108,35 @@ func NewEngine(app Application, j Journal) *Engine {
 	return &Engine{app: app, journal: j}
 }
 
-// ExecuteBatch applies every transaction of batch and returns the combined
-// result. proof records why the batch is final.
-func (e *Engine) ExecuteBatch(batch *types.Batch, proof ledger.Proof) Result {
-	res := e.execute(batch, proof)
-	if e.journal != nil {
-		res.Block = e.appendSync(batch, proof, res.StateHash)
-	}
-	return res
-}
-
-// appendSync journals one block synchronously, feeding the journal-stage
-// histogram (submit → durable is one fsync-inclusive call here).
-func (e *Engine) appendSync(batch *types.Batch, proof ledger.Proof, state types.Digest) *ledger.Block {
-	if e.met == nil {
-		return e.journal.Append(batch, proof, state)
-	}
-	start := time.Now()
-	blk := e.journal.Append(batch, proof, state)
-	e.met.ObserveStage(obs.StageJournal, time.Since(start))
-	return blk
-}
-
-// ExecuteBatchAsync is ExecuteBatch over the pipelined commit path: when
-// the journal implements AsyncJournal the block is handed off without
-// waiting for the disk and done fires once the record is durable (or the
-// journal failed); with a plain journal — or none — the append is
-// synchronous and done fires inline before ExecuteBatchAsync returns.
+// ExecuteBatch applies every transaction of batch, hands the block to the
+// journal without waiting for the disk, and returns the combined result.
+// proof records why the batch is final. done (which may be nil) fires once
+// the block is durable or the journal failed — inline, before ExecuteBatch
+// returns, when the journal completes inline or there is none.
 //
 // done receives the Result by value WITHOUT the Block field — the returned
 // Result carries it — because done may run on the journal's committer
 // goroutine concurrently with this method's return. Acknowledge clients
 // from done, never from the returned Result: the return only means
 // "executed", done means "durable".
-func (e *Engine) ExecuteBatchAsync(batch *types.Batch, proof ledger.Proof, done func(res Result, err error)) Result {
+func (e *Engine) ExecuteBatch(batch *types.Batch, proof ledger.Proof, done func(res Result, err error)) Result {
 	res := e.execute(batch, proof)
-	if aj, ok := e.journal.(AsyncJournal); ok {
-		notify := res // value copy: Block stays unset for the callback
-		if met := e.met; met != nil {
-			submitted := time.Now()
-			res.Block = aj.AppendAsync(batch, proof, res.StateHash, func(err error) {
-				met.ObserveStage(obs.StageJournal, time.Since(submitted))
-				done(notify, err)
-			})
-			return res
-		}
-		res.Block = aj.AppendAsync(batch, proof, res.StateHash, func(err error) { done(notify, err) })
-		return res
+	notify := res // value copy: Block stays unset for the callback
+	if done == nil {
+		done = func(Result, error) {}
 	}
-	if e.journal != nil {
-		res.Block = e.appendSync(batch, proof, res.StateHash)
+	switch {
+	case e.journal == nil:
+		done(notify, nil)
+	case e.met == nil:
+		res.Block = e.journal.Append(batch, proof, res.StateHash, func(err error) { done(notify, err) })
+	default:
+		met, submitted := e.met, time.Now()
+		res.Block = e.journal.Append(batch, proof, res.StateHash, func(err error) {
+			met.ObserveStage(obs.StageJournal, time.Since(submitted))
+			done(notify, err)
+		})
 	}
-	notify := res
-	notify.Block = nil
-	done(notify, nil)
 	return res
 }
 

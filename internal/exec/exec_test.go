@@ -20,7 +20,7 @@ func wtx(c types.ClientID, seq uint64, key uint32) types.Transaction {
 
 func TestExecuteBatchCountsAndHashes(t *testing.T) {
 	e := NewEngine(ycsb.NewStore(100), nil)
-	res := e.ExecuteBatch(batch(wtx(1, 1, 1), wtx(1, 2, 2)), ledger.Proof{Round: 1})
+	res := e.ExecuteBatch(batch(wtx(1, 1, 1), wtx(1, 2, 2)), ledger.Proof{Round: 1}, nil)
 	if res.TxnExecuted != 2 || e.Executed() != 2 {
 		t.Fatalf("executed %d/%d", res.TxnExecuted, e.Executed())
 	}
@@ -94,7 +94,7 @@ func TestIdenticalHistoriesProduceIdenticalResults(t *testing.T) {
 			e := NewEngine(in.app(), nil)
 			var out []Result
 			for i, b := range in.batches {
-				out = append(out, e.ExecuteBatch(b, ledger.Proof{Round: types.Round(i + 1)}))
+				out = append(out, e.ExecuteBatch(b, ledger.Proof{Round: types.Round(i + 1)}, nil))
 			}
 			return out
 		}
@@ -114,8 +114,8 @@ func TestOrderSensitivity(t *testing.T) {
 	e2 := NewEngine(ycsb.NewStore(100), nil)
 	a := types.Transaction{Client: 1, Seq: 1, Op: ycsb.EncodeWrite(7, []byte("from-a"))}
 	b := types.Transaction{Client: 2, Seq: 1, Op: ycsb.EncodeWrite(7, []byte("from-b"))}
-	r1 := e1.ExecuteBatch(batch(a, b), ledger.Proof{})
-	r2 := e2.ExecuteBatch(batch(b, a), ledger.Proof{})
+	r1 := e1.ExecuteBatch(batch(a, b), ledger.Proof{}, nil)
+	r2 := e2.ExecuteBatch(batch(b, a), ledger.Proof{}, nil)
 	if r1.StateHash == r2.StateHash {
 		t.Fatal("conflicting orders produced identical state")
 	}
@@ -123,10 +123,17 @@ func TestOrderSensitivity(t *testing.T) {
 
 func TestJournalling(t *testing.T) {
 	l := ledger.New()
-	e := NewEngine(ycsb.NewStore(100), l)
-	res := e.ExecuteBatch(batch(wtx(1, 1, 3)), ledger.Proof{Instance: 2, Round: 9})
+	e := NewEngine(ycsb.NewStore(100), InMemory(l))
+	acked := false
+	res := e.ExecuteBatch(batch(wtx(1, 1, 3)), ledger.Proof{Instance: 2, Round: 9}, func(_ Result, err error) {
+		// Acked implies journalled: the block is in the chain by now.
+		acked = err == nil && l.Height() == 1
+	})
 	if res.Block == nil {
 		t.Fatal("no block journalled")
+	}
+	if !acked {
+		t.Fatal("completion did not find the block journalled")
 	}
 	if l.Height() != 1 || l.Head().Proof.Round != 9 {
 		t.Fatal("ledger state wrong")
@@ -138,23 +145,19 @@ func TestJournalling(t *testing.T) {
 
 func TestNilJournalIsFine(t *testing.T) {
 	e := NewEngine(ycsb.NewStore(10), nil)
-	if res := e.ExecuteBatch(batch(wtx(1, 1, 1)), ledger.Proof{}); res.Block != nil {
+	if res := e.ExecuteBatch(batch(wtx(1, 1, 1)), ledger.Proof{}, nil); res.Block != nil {
 		t.Fatal("block produced without a journal")
 	}
 }
 
 // asyncLedger wraps the in-memory ledger with a deferred-completion journal
-// — the shape internal/store provides in async mode.
+// — the shape internal/store provides.
 type asyncLedger struct {
 	l       *ledger.Ledger
 	pending []func(error)
 }
 
-func (a *asyncLedger) Append(b *types.Batch, p ledger.Proof, s types.Digest) *ledger.Block {
-	return a.l.Append(b, p, s)
-}
-
-func (a *asyncLedger) AppendAsync(b *types.Batch, p ledger.Proof, s types.Digest, done func(error)) *ledger.Block {
+func (a *asyncLedger) Append(b *types.Batch, p ledger.Proof, s types.Digest, done func(error)) *ledger.Block {
 	blk := a.l.Append(b, p, s)
 	a.pending = append(a.pending, done)
 	return blk
@@ -167,11 +170,11 @@ func (a *asyncLedger) complete(err error) {
 	a.pending = nil
 }
 
-func TestExecuteBatchAsyncDefersCompletion(t *testing.T) {
+func TestExecuteBatchDefersCompletion(t *testing.T) {
 	aj := &asyncLedger{l: ledger.New()}
 	e := NewEngine(ycsb.NewStore(100), aj)
 	var got []Result
-	res := e.ExecuteBatchAsync(batch(wtx(1, 1, 3)), ledger.Proof{Round: 4}, func(r Result, err error) {
+	res := e.ExecuteBatch(batch(wtx(1, 1, 3)), ledger.Proof{Round: 4}, func(r Result, err error) {
 		if err != nil {
 			t.Errorf("completion error: %v", err)
 		}
@@ -195,28 +198,31 @@ func TestExecuteBatchAsyncDefersCompletion(t *testing.T) {
 	}
 }
 
-func TestExecuteBatchAsyncSyncJournalCompletesInline(t *testing.T) {
+func TestExecuteBatchInMemoryJournalCompletesInline(t *testing.T) {
 	l := ledger.New()
-	e := NewEngine(ycsb.NewStore(100), l)
+	e := NewEngine(ycsb.NewStore(100), InMemory(l))
 	fired := false
-	res := e.ExecuteBatchAsync(batch(wtx(1, 1, 3)), ledger.Proof{Round: 1}, func(r Result, err error) {
+	res := e.ExecuteBatch(batch(wtx(1, 1, 3)), ledger.Proof{Round: 1}, func(r Result, err error) {
 		fired = true
 		if err != nil {
 			t.Errorf("completion error: %v", err)
 		}
+		if l.Height() != 1 {
+			t.Error("completion fired before the block joined the chain")
+		}
 	})
 	if !fired {
-		t.Fatal("plain journal must complete inline")
+		t.Fatal("in-memory journal must complete inline")
 	}
 	if res.Block == nil || l.Height() != 1 {
 		t.Fatal("block not journalled")
 	}
 }
 
-func TestExecuteBatchAsyncNilJournalCompletesInline(t *testing.T) {
+func TestExecuteBatchNilJournalCompletesInline(t *testing.T) {
 	e := NewEngine(ycsb.NewStore(10), nil)
 	fired := false
-	e.ExecuteBatchAsync(batch(wtx(1, 1, 1)), ledger.Proof{}, func(Result, error) { fired = true })
+	e.ExecuteBatch(batch(wtx(1, 1, 1)), ledger.Proof{}, func(Result, error) { fired = true })
 	if !fired {
 		t.Fatal("nil journal must complete inline")
 	}
@@ -260,7 +266,7 @@ func TestExecutedCounterRaceSafe(t *testing.T) {
 	}()
 	rounds := ycsbRounds(30, 64)
 	for i, b := range rounds {
-		e.ExecuteBatch(b, ledger.Proof{Round: types.Round(i + 1)})
+		e.ExecuteBatch(b, ledger.Proof{Round: types.Round(i + 1)}, nil)
 		if i == len(rounds)/2 {
 			e.Restore(e.Executed()) // restart replay primes the counter
 		}

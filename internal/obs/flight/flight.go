@@ -115,7 +115,7 @@ const (
 	KTxnPropose // the round carrying the request was proposed (pre-prepare seen)
 	KTxnDecide  // the round committed and was delivered by consensus
 	KTxnExecute // the batch was applied to the application
-	KTxnDurable // the journal record covering the batch was fsync'd
+	KTxnDurable // the journal reported the batch's block durable
 	KTxnAck     // the client reply was enqueued
 )
 

@@ -17,8 +17,7 @@ import (
 //
 //	consensus + unify + ack ≈ client-observed server latency
 //
-// where ack itself contains execute and (in async-journal mode) the
-// journal submit→durable wait.
+// where ack itself contains execute and the journal submit→durable wait.
 type Stage uint8
 
 const (
@@ -37,8 +36,8 @@ const (
 	StageExecute
 	// StageJournal: journal record submitted → reported durable (wal).
 	StageJournal
-	// StageAck: unified delivery → client replies enqueued (runtime);
-	// in async-journal mode this spans execution and the durability wait.
+	// StageAck: unified delivery → client replies enqueued (runtime); it
+	// spans execution and the durability wait.
 	StageAck
 
 	numStages
@@ -94,7 +93,7 @@ type NodeMetrics struct {
 	ViewChanges *Counter
 	// Acks counts client reply messages enqueued.
 	Acks *Counter
-	// WALFsync observes async-appender commit-point (fsync) latency.
+	// WALFsync observes WAL appender commit-point (fsync) latency.
 	WALFsync *Histogram
 
 	reg    *Registry
@@ -126,7 +125,7 @@ func NewNodeMetrics(reg *Registry, ringSize, traceSample int) *NodeMetrics {
 	m.Suspects = reg.Counter("rcc_suspects_total", "", "instance-failure suspicions raised")
 	m.ViewChanges = reg.Counter("rcc_view_changes_total", "", "new views installed")
 	m.Acks = reg.Counter("rcc_acks_sent_total", "", "client reply messages enqueued")
-	m.WALFsync = reg.Histogram("wal_fsync_seconds", "", "async appender commit-point (fsync) latency")
+	m.WALFsync = reg.Histogram("wal_fsync_seconds", "", "WAL appender commit-point (fsync) latency")
 	registerRuntimeMetrics(reg)
 	return m
 }

@@ -39,7 +39,7 @@ func TestAdminHealthFlipsOnDurabilityFailure(t *testing.T) {
 			Machine:        pbft.New(pbft.Config{BatchSize: 1, Window: 4, Metrics: met}),
 			App:            ycsb.NewStore(1000),
 			DataDir:        filepath.Join(base, "replica-"+string(rune('0'+i))),
-			Journaling:     JournalOptions{Sync: wal.SyncGroup, Async: true},
+			Journaling:     JournalOptions{Sync: wal.SyncGroup},
 			ReplyToClients: true,
 			Metrics:        met,
 		})

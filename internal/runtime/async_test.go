@@ -12,43 +12,8 @@ import (
 	"repro/internal/sm"
 	"repro/internal/transport"
 	"repro/internal/types"
-	"repro/internal/wal"
 	"repro/internal/ycsb"
 )
-
-// asyncCluster is durableCluster with the pipelined journal enabled.
-func asyncCluster(t *testing.T, n int, base string, queueDepth int, machine func() sm.Machine) ([]*Replica, *transport.Memory) {
-	t.Helper()
-	params, err := quorum.NewParams(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub := transport.NewMemory()
-	reps := make([]*Replica, n)
-	for i := 0; i < n; i++ {
-		reps[i], err = New(Config{
-			ID:      types.ReplicaID(i),
-			Params:  params,
-			Machine: machine(),
-			App:     ycsb.NewStore(1000),
-			DataDir: filepath.Join(base, "replica-"+string(rune('0'+i))),
-			Journaling: JournalOptions{
-				Sync:       wal.SyncGroup,
-				Async:      true,
-				QueueDepth: queueDepth,
-			},
-			ReplyToClients: true,
-		})
-		if err != nil {
-			t.Fatalf("replica %d: %v", i, err)
-		}
-		reps[i].Attach(hub.AttachReplica(types.ReplicaID(i), reps[i]))
-	}
-	for _, r := range reps {
-		r.Run()
-	}
-	return reps, hub
-}
 
 // TestAsyncJournalServesAndResumes is the pipelined path's end-to-end
 // acceptance: clients get their f+1 replies only via durability callbacks,
@@ -57,7 +22,7 @@ func TestAsyncJournalServesAndResumes(t *testing.T) {
 	base := t.TempDir()
 	const txns = 8
 	mkMachine := func() sm.Machine { return pbft.New(pbft.Config{BatchSize: 1, Window: 4}) }
-	reps, hub := asyncCluster(t, 4, base, 16, mkMachine)
+	reps, hub := durableCluster(t, 4, base, JournalOptions{QueueDepth: 16}, mkMachine)
 	c := runClient(t, hub, reps[0].cfg.Params, 1, txns)
 	waitFor(t, 15*time.Second, func() bool { return len(c.Completions()) == txns })
 	for i, r := range reps {
@@ -70,7 +35,7 @@ func TestAsyncJournalServesAndResumes(t *testing.T) {
 
 	// The drained shutdown leaves every acked block on disk; a fresh
 	// process resumes at the same height with an identical chain.
-	reps2, hub2 := asyncCluster(t, 4, base, 16, mkMachine)
+	reps2, hub2 := durableCluster(t, 4, base, JournalOptions{QueueDepth: 16}, mkMachine)
 	defer stopAll(reps2, hub2)
 	for i, r := range reps2 {
 		if got := r.Ledger().Height(); got != txns {
@@ -93,7 +58,7 @@ func TestAsyncJournalServesAndResumes(t *testing.T) {
 func TestAsyncCrashRestartKeepsAckedPrefix(t *testing.T) {
 	base := t.TempDir()
 	const txns = 12
-	reps, hub := asyncCluster(t, 4, base, 4, func() sm.Machine {
+	reps, hub := durableCluster(t, 4, base, JournalOptions{QueueDepth: 4}, func() sm.Machine {
 		return pbft.New(pbft.Config{BatchSize: 1, Window: 4})
 	})
 	c := runClient(t, hub, reps[0].cfg.Params, 1, txns)
@@ -142,7 +107,7 @@ func TestAsyncCrashRestartKeepsAckedPrefix(t *testing.T) {
 // complete via the three healthy replicas.
 func TestAsyncJournalFailureSilencesAcks(t *testing.T) {
 	base := t.TempDir()
-	reps, hub := asyncCluster(t, 4, base, 8, func() sm.Machine {
+	reps, hub := durableCluster(t, 4, base, JournalOptions{QueueDepth: 8}, func() sm.Machine {
 		return pbft.New(pbft.Config{BatchSize: 1, Window: 4})
 	})
 	defer stopAll(reps, hub)

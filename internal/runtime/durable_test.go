@@ -10,13 +10,13 @@ import (
 	"repro/internal/sm"
 	"repro/internal/transport"
 	"repro/internal/types"
-	"repro/internal/wal"
 	"repro/internal/ycsb"
 )
 
 // durableCluster builds an n-replica in-memory deployment whose replicas
-// journal through the durable store under base/replica-i.
-func durableCluster(t *testing.T, n int, base string, snapEvery uint64, machine func() sm.Machine) ([]*Replica, *transport.Memory) {
+// journal through the durable store under base/replica-i, with jo's
+// tunables on top of group commit.
+func durableCluster(t *testing.T, n int, base string, jo JournalOptions, machine func() sm.Machine) ([]*Replica, *transport.Memory) {
 	t.Helper()
 	params, err := quorum.NewParams(n)
 	if err != nil {
@@ -26,15 +26,12 @@ func durableCluster(t *testing.T, n int, base string, snapEvery uint64, machine 
 	reps := make([]*Replica, n)
 	for i := 0; i < n; i++ {
 		reps[i], err = New(Config{
-			ID:      types.ReplicaID(i),
-			Params:  params,
-			Machine: machine(),
-			App:     ycsb.NewStore(1000),
-			DataDir: filepath.Join(base, "replica-"+string(rune('0'+i))),
-			Journaling: JournalOptions{
-				Sync:          wal.SyncGroup,
-				SnapshotEvery: snapEvery,
-			},
+			ID:             types.ReplicaID(i),
+			Params:         params,
+			Machine:        machine(),
+			App:            ycsb.NewStore(1000),
+			DataDir:        filepath.Join(base, "replica-"+string(rune('0'+i))),
+			Journaling:     jo,
 			ReplyToClients: true,
 		})
 		if err != nil {
@@ -46,6 +43,24 @@ func durableCluster(t *testing.T, n int, base string, snapEvery uint64, machine 
 		r.Run()
 	}
 	return reps, hub
+}
+
+// assertAckedDurable checks acked⇒durable on a live cluster: a client
+// completion needs f+1 matching replies, and a replica replies only once
+// its WAL reports the block durable, so at least f+1 replicas' durable
+// index must cover the first acked blocks (one single-txn block per
+// completion; block h is WAL record h+1).
+func assertAckedDurable(t *testing.T, reps []*Replica, acked int) {
+	t.Helper()
+	covered := 0
+	for _, r := range reps {
+		if r.Durable().WAL().DurableIndex() >= uint64(acked) {
+			covered++
+		}
+	}
+	if f := reps[0].cfg.Params.F; covered < f+1 {
+		t.Fatalf("%d acked blocks durable on only %d replicas, want f+1 = %d", acked, covered, f+1)
+	}
 }
 
 func stopAll(reps []*Replica, hub *transport.Memory) {
@@ -63,11 +78,12 @@ func stopAll(reps []*Replica, hub *transport.Memory) {
 func TestReplicaRestartResumesFromDisk(t *testing.T) {
 	base := t.TempDir()
 	const txns = 6
-	reps, hub := durableCluster(t, 4, base, 0, func() sm.Machine {
+	reps, hub := durableCluster(t, 4, base, JournalOptions{}, func() sm.Machine {
 		return pbft.New(pbft.Config{BatchSize: 1, Window: 4})
 	})
 	c := runClient(t, hub, reps[0].cfg.Params, 1, txns)
 	waitFor(t, 10*time.Second, func() bool { return len(c.Completions()) == txns })
+	assertAckedDurable(t, reps, txns)
 	for i, r := range reps {
 		waitFor(t, 5*time.Second, func() bool { return r.Ledger().Height() == txns })
 		if err := r.DurabilityErr(); err != nil {
@@ -121,15 +137,16 @@ func TestReplicaRestartResumesFromDisk(t *testing.T) {
 func TestClusterRestartServesNewTransactions(t *testing.T) {
 	base := t.TempDir()
 	mkMachine := func() sm.Machine { return pbft.New(pbft.Config{BatchSize: 1, Window: 4}) }
-	reps, hub := durableCluster(t, 4, base, 0, mkMachine)
+	reps, hub := durableCluster(t, 4, base, JournalOptions{}, mkMachine)
 	c := runClient(t, hub, reps[0].cfg.Params, 1, 3)
 	waitFor(t, 10*time.Second, func() bool { return len(c.Completions()) == 3 })
+	assertAckedDurable(t, reps, 3)
 	for _, r := range reps {
 		waitFor(t, 5*time.Second, func() bool { return r.Ledger().Height() == 3 })
 	}
 	stopAll(reps, hub)
 
-	reps2, hub2 := durableCluster(t, 4, base, 0, mkMachine)
+	reps2, hub2 := durableCluster(t, 4, base, JournalOptions{}, mkMachine)
 	defer stopAll(reps2, hub2)
 	for i, r := range reps2 {
 		if r.Ledger().Height() != 3 {
@@ -138,6 +155,7 @@ func TestClusterRestartServesNewTransactions(t *testing.T) {
 	}
 	c2 := runClient(t, hub2, reps2[0].cfg.Params, 2, 2)
 	waitFor(t, 10*time.Second, func() bool { return len(c2.Completions()) == 2 })
+	assertAckedDurable(t, reps2, 5)
 	for i, r := range reps2 {
 		waitFor(t, 5*time.Second, func() bool { return r.Ledger().Height() == 5 })
 		if err := r.Ledger().Verify(); err != nil {
@@ -154,11 +172,12 @@ func TestClusterRestartServesNewTransactions(t *testing.T) {
 func TestPeriodicSnapshotsPersistAndRestore(t *testing.T) {
 	base := t.TempDir()
 	const txns = 5
-	reps, hub := durableCluster(t, 4, base, 2, func() sm.Machine {
+	reps, hub := durableCluster(t, 4, base, JournalOptions{SnapshotEvery: 2}, func() sm.Machine {
 		return pbft.New(pbft.Config{BatchSize: 1, Window: 4})
 	})
 	c := runClient(t, hub, reps[0].cfg.Params, 1, txns)
 	waitFor(t, 10*time.Second, func() bool { return len(c.Completions()) == txns })
+	assertAckedDurable(t, reps, txns)
 	for _, r := range reps {
 		waitFor(t, 5*time.Second, func() bool { return r.Ledger().Height() == txns })
 	}

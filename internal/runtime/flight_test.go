@@ -100,7 +100,6 @@ func flightReplica(t *testing.T, base string, id types.ReplicaID, params quorum.
 		}),
 		App:            ycsb.NewStore(1000),
 		DataDir:        filepath.Join(base, fmt.Sprintf("replica-%d", id)),
-		Journaling:     JournalOptions{Async: true},
 		ReplyToClients: true,
 		StateSync: StateSyncOptions{
 			Enabled:     true,

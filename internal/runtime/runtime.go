@@ -32,28 +32,25 @@ import (
 )
 
 // JournalOptions groups the durability tunables that apply when
-// Config.DataDir is set.
+// Config.DataDir is set. Durability is always pipelined: executed blocks
+// are handed to the WAL's background committer without stalling the event
+// loop on fsync, and client replies for a block are deferred until its WAL
+// record is reported durable — so an acknowledged transaction can never be
+// lost to a crash. When the in-flight queue (QueueDepth) fills, execution
+// back-pressures by blocking the event loop until the disk catches up.
 type JournalOptions struct {
-	// Sync selects the WAL sync policy (default group commit).
+	// Sync selects the WAL sync policy: SyncGroup (the default) lets many
+	// in-flight blocks share each fsync, SyncAlways gives every block its
+	// own fsync, and under SyncNone completions mean flushed, not
+	// fsynced.
 	Sync wal.SyncPolicy
-	// Async pipelines durability: executed blocks are handed to a
-	// background committer without stalling the event loop on fsync,
-	// many blocks share each commit point, and client replies for a
-	// block are deferred until its WAL record is reported durable — so
-	// an acknowledged transaction can never be lost to a crash, while
-	// the fsync cost amortizes across in-flight blocks
-	// (BenchmarkAsyncJournal). When the in-flight queue (QueueDepth)
-	// fills, execution back-pressures by blocking the event loop until
-	// the disk catches up. Combine with SyncGroup (the default): under
-	// SyncAlways the committer still batches — use sync mode when a
-	// per-block fsync is the point — and under SyncNone completions mean
-	// flushed, not fsynced.
+	// Deprecated: durability is always pipelined; this field is ignored.
 	Async bool
-	// QueueDepth bounds blocks executed but not yet durable in async
-	// mode (default wal.DefaultQueueDepth).
+	// QueueDepth bounds blocks executed but not yet durable (default
+	// wal.DefaultQueueDepth).
 	QueueDepth int
-	// MaxBatchBytes caps the WAL bytes one fsync covers in async mode
-	// (default wal.DefaultMaxBatchBytes).
+	// MaxBatchBytes caps the WAL bytes one fsync covers (default
+	// wal.DefaultMaxBatchBytes).
 	MaxBatchBytes int64
 	// SnapshotEvery persists an application checkpoint every N decided
 	// blocks when App implements store.Snapshotter (0 disables periodic
@@ -81,7 +78,7 @@ type FlightOptions struct {
 	StallThreshold time.Duration
 	// FsyncStallThreshold is the WAL commit-point latency above which an
 	// fsync_stall event is recorded, detail = latency in nanoseconds
-	// (default 250ms). Requires async journaling (the commit hook).
+	// (default 250ms).
 	FsyncStallThreshold time.Duration
 	// MirrorInterval is the period of the crash-safe ring mirror written to
 	// <DataDir>/flight.bin (default 2s; requires DataDir). kill -9 then
@@ -134,9 +131,9 @@ type StateSyncOptions struct {
 
 // Config parameterizes one replica process.
 //
-// Subsystem tunables are grouped: the flat Durability / AsyncJournal /
-// JournalQueueDepth / JournalMaxBatchBytes / SnapshotEvery knobs moved
-// into Journaling, and StateSync* into the StateSync group (see doc.go).
+// Subsystem tunables are grouped: the flat Durability / JournalQueueDepth /
+// JournalMaxBatchBytes / SnapshotEvery knobs moved into Journaling, and
+// StateSync* into the StateSync group (see doc.go).
 type Config struct {
 	// ID is the local replica.
 	ID types.ReplicaID
@@ -271,14 +268,13 @@ func New(cfg Config) (*Replica, error) {
 			}
 		}
 		dl, err := store.Open(cfg.DataDir, store.Options{
-			Sync:               cfg.Journaling.Sync,
-			Async:              cfg.Journaling.Async,
-			AsyncQueueDepth:    cfg.Journaling.QueueDepth,
-			AsyncMaxBatchBytes: cfg.Journaling.MaxBatchBytes,
-			AsyncOnCommit:      onCommit,
-			PruneWAL:           cfg.Journaling.PruneWAL,
-			Failpoints:         cfg.Journaling.Failpoints,
-			Identity:           fmt.Sprintf("replica-%d", cfg.ID),
+			Sync:          cfg.Journaling.Sync,
+			QueueDepth:    cfg.Journaling.QueueDepth,
+			MaxBatchBytes: cfg.Journaling.MaxBatchBytes,
+			OnCommit:      onCommit,
+			PruneWAL:      cfg.Journaling.PruneWAL,
+			Failpoints:    cfg.Journaling.Failpoints,
+			Identity:      fmt.Sprintf("replica-%d", cfg.ID),
 		})
 		if err != nil {
 			return nil, err
@@ -301,7 +297,7 @@ func New(cfg Config) (*Replica, error) {
 	if cfg.Journal {
 		l := ledger.New()
 		r.log = l
-		journal = l
+		journal = exec.InMemory(l)
 	}
 	r.engine = exec.NewEngine(cfg.App, journal)
 	r.engine.SetMetrics(cfg.Metrics, uint16(cfg.ID))
@@ -347,16 +343,14 @@ func (r *Replica) registerMetrics() {
 			_, syncs := dl.WAL().Stats()
 			return float64(syncs)
 		})
-		if ap := dl.Appender(); ap != nil {
-			reg.CounterFunc("wal_appender_submitted_total", rl, "records submitted to the async appender", func() float64 {
-				submitted, _ := ap.Stats()
-				return float64(submitted)
-			})
-			reg.CounterFunc("wal_appender_batches_total", rl, "async appender commit points issued", func() float64 {
-				_, batches := ap.Stats()
-				return float64(batches)
-			})
-		}
+		reg.CounterFunc("wal_appender_submitted_total", rl, "records submitted to the WAL appender", func() float64 {
+			submitted, _ := dl.Appender().Stats()
+			return float64(submitted)
+		})
+		reg.CounterFunc("wal_appender_batches_total", rl, "WAL appender commit points issued", func() float64 {
+			_, batches := dl.Appender().Stats()
+			return float64(batches)
+		})
 	}
 	if r.sync != nil {
 		r.sync.RegisterMetrics(reg)
@@ -547,26 +541,14 @@ func (r *Replica) installFromSync(res *statesync.Result) error {
 }
 
 // durableJournal routes the engine's block appends through the durable
-// store. A WAL failure means the in-memory chain is ahead of disk; the
-// error sticks (DurabilityErr) so operators stop the replica instead of
-// running with a silent durability gap.
+// store's pipelined commit path: the completion callback runs on the WAL
+// committer goroutine once the block's record is durable (carrying nil) or
+// the journal has failed. A WAL failure means the in-memory chain is ahead
+// of disk; the error sticks (DurabilityErr) so operators stop the replica
+// instead of running with a silent durability gap.
 type durableJournal struct{ r *Replica }
 
-var _ exec.AsyncJournal = durableJournal{}
-
-func (j durableJournal) Append(batch *types.Batch, proof ledger.Proof, state types.Digest) *ledger.Block {
-	blk, err := j.r.durable.Append(batch, proof, state)
-	if err != nil {
-		j.r.setDurErr(err)
-	}
-	return blk
-}
-
-// AppendAsync implements exec.AsyncJournal over the store's pipelined
-// commit path: the completion callback runs on the WAL committer goroutine
-// once the block's record is durable (carrying nil) or the journal has
-// failed (sticky error, also recorded for DurabilityErr).
-func (j durableJournal) AppendAsync(batch *types.Batch, proof ledger.Proof, state types.Digest, done func(err error)) *ledger.Block {
+func (j durableJournal) Append(batch *types.Batch, proof ledger.Proof, state types.Digest, done func(err error)) *ledger.Block {
 	return j.r.durable.AppendAsync(batch, proof, state, func(_ uint64, err error) {
 		if err != nil {
 			j.r.setDurErr(err)
@@ -878,8 +860,8 @@ func (r *Replica) Stop() {
 	if r.sync != nil {
 		r.sync.Stop()
 	}
-	// Drain the durable store BEFORE closing the transport: in async mode
-	// Close completes every in-flight block's commit point and its
+	// Drain the durable store BEFORE closing the transport: its Close
+	// completes every in-flight block's commit point and its
 	// durability callback enqueues the deferred client acks onto the
 	// transport's per-client queues, which the transport's Close then
 	// flushes (bounded by its drain timeout).
@@ -894,7 +876,7 @@ func (r *Replica) Stop() {
 }
 
 // Kill shuts the replica down the way kill -9 would: the event loop stops,
-// but the durable store closes abruptly — in-flight async appends are
+// but the durable store closes abruptly — in-flight appends are
 // dropped without their final fsync (and an armed torn-write failpoint
 // fires), deferred client acks never flush — so only state the WAL already
 // made durable survives into the next incarnation. Peers observe exactly
@@ -990,17 +972,23 @@ func (e *replicaEnv) SendClient(c types.ClientID, m types.Message) {
 	}
 }
 
-// Deliver executes the decision's batch in order, journals it, and answers
-// the clients. With Config.Journaling.Async the journal append is pipelined:
-// execution returns immediately and the client replies wait for the block's
-// WAL record to be reported durable (per-height ack deferral), so no client
-// ever holds an acknowledgement the disk does not.
+// Deliver executes the decision's batch in order, hands its block to the
+// journal, and answers the clients once the journal reports the block
+// durable (per-height ack deferral), so no client ever holds an
+// acknowledgement the disk does not. Without a DataDir the journal, if
+// any, completes inline and the replies go out before Deliver returns.
 func (e *replicaEnv) Deliver(d sm.Decision) {
 	r := e.r
 	r.mu.Lock()
 	r.delivered++
+	noop := d.Batch == nil || d.Batch.IsNoOp()
+	if !noop {
+		// Counted before execution: the ack may fire inside ExecuteBatch,
+		// and an observer that sees it must see the batch executed.
+		r.executed += uint64(len(d.Batch.Txns))
+	}
 	r.mu.Unlock()
-	if d.Batch == nil || d.Batch.IsNoOp() {
+	if noop {
 		// No-op fillers (§III-E) keep rounds complete but carry no client
 		// work: nothing to execute, journal, or answer.
 		return
@@ -1014,33 +1002,25 @@ func (e *replicaEnv) Deliver(d sm.Decision) {
 	if met != nil {
 		delivAt = time.Now()
 	}
-	var res exec.Result
-	if r.cfg.Journaling.Async && r.durable != nil {
-		// The callback runs on the WAL committer goroutine; d and the
-		// completion Result are read-only there, and the transports are
-		// safe for concurrent use. SendClient is enqueue-only (bounded
-		// per-client queue, drop on overflow), so acking directly from
-		// the committer can never wait on a client's socket — a dropped
-		// reply only un-acks a durable block and the client collects its
-		// f+1 replies elsewhere or retries.
-		res = r.engine.ExecuteBatchAsync(d.Batch, proof, func(nres exec.Result, err error) {
-			if err != nil {
-				// setDurErr already ran (durableJournal); stay silent and
-				// let clients collect f+1 replies from healthy replicas.
-				return
-			}
-			met.TraceBatch(uint16(r.cfg.ID), uint32(d.Instance), d.Batch, flight.KTxnDurable)
-			e.ackClients(d, nres)
-			if met != nil {
-				met.ObserveStage(obs.StageAck, time.Since(delivAt))
-			}
-		})
-	} else {
-		res = r.engine.ExecuteBatch(d.Batch, proof)
-	}
-	r.mu.Lock()
-	r.executed += uint64(res.TxnExecuted)
-	r.mu.Unlock()
+	// The callback may run on the WAL committer goroutine; d and the
+	// completion Result are read-only there, and the transports are safe
+	// for concurrent use. SendClient is enqueue-only (bounded per-client
+	// queue, drop on overflow), so acking directly from the committer can
+	// never wait on a client's socket — a dropped reply only un-acks a
+	// durable block and the client collects its f+1 replies elsewhere or
+	// retries.
+	res := r.engine.ExecuteBatch(d.Batch, proof, func(nres exec.Result, err error) {
+		if err != nil {
+			// setDurErr already ran (durableJournal); stay silent and
+			// let clients collect f+1 replies from healthy replicas.
+			return
+		}
+		met.TraceBatch(uint16(r.cfg.ID), uint32(d.Instance), d.Batch, flight.KTxnDurable)
+		e.ackClients(d, nres)
+		if met != nil {
+			met.ObserveStage(obs.StageAck, time.Since(delivAt))
+		}
+	})
 	if r.cfg.Journaling.SnapshotEvery > 0 && res.Block != nil &&
 		(res.Block.Height+1)%r.cfg.Journaling.SnapshotEvery == 0 {
 		if _, ok := r.cfg.Machine.(sm.BoundarySyncable); ok {
@@ -1051,13 +1031,6 @@ func (e *replicaEnv) Deliver(d sm.Decision) {
 		} else {
 			r.saveSnapshot()
 		}
-	}
-	if r.cfg.Journaling.Async && r.durable != nil {
-		return // replies ride on the durability callback
-	}
-	e.ackClients(d, res)
-	if met != nil {
-		met.ObserveStage(obs.StageAck, time.Since(delivAt))
 	}
 }
 

@@ -30,12 +30,9 @@ func syncReplica(t *testing.T, base string, id types.ReplicaID, params quorum.Pa
 			// failure detection is not under test here.
 			ProgressTimeout: 20 * time.Second,
 		}),
-		App:     ycsb.NewStore(1000),
-		DataDir: filepath.Join(base, fmt.Sprintf("replica-%d", id)),
-		Journaling: JournalOptions{
-			Async:         true,
-			SnapshotEvery: snapshotEvery,
-		},
+		App:            ycsb.NewStore(1000),
+		DataDir:        filepath.Join(base, fmt.Sprintf("replica-%d", id)),
+		Journaling:     JournalOptions{SnapshotEvery: snapshotEvery},
 		ReplyToClients: true,
 		StateSync: StateSyncOptions{
 			Enabled:     true,

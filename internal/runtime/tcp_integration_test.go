@@ -177,7 +177,6 @@ func TestAsyncDurableOverTCP(t *testing.T) {
 				ID: id, Params: params, Machine: mkMachine(),
 				App:            ycsb.NewStore(1000),
 				DataDir:        filepath.Join(base, fmt.Sprintf("replica-%d", i)),
-				Journaling:     JournalOptions{Async: true},
 				ReplyToClients: true,
 			})
 			if err != nil {

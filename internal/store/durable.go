@@ -28,22 +28,17 @@ type Options struct {
 	Sync wal.SyncPolicy
 	// KeepSnapshots bounds retained checkpoint generations (default 2).
 	KeepSnapshots int
-	// Async enables the pipelined commit path: AppendAsync hands records
-	// to a background committer that batches many blocks per fsync and
-	// reports durability through completion callbacks, instead of every
-	// append stopping to wait out its own fsync.
-	Async bool
-	// AsyncQueueDepth bounds blocks in flight (appended, not yet durable)
-	// in async mode; appends block when it fills (back-pressure). Default
+	// QueueDepth bounds blocks in flight (appended, not yet durable);
+	// appends block when it fills (back-pressure). Default
 	// wal.DefaultQueueDepth.
-	AsyncQueueDepth int
-	// AsyncMaxBatchBytes caps the bytes one fsync covers in async mode
-	// (default wal.DefaultMaxBatchBytes).
-	AsyncMaxBatchBytes int64
-	// AsyncOnCommit, when set, observes every successful async commit
-	// point (records and bytes covered, commit-point duration) — the
-	// metrics hook. It runs on the committer goroutine; keep it fast.
-	AsyncOnCommit func(records int, bytes int64, took time.Duration)
+	QueueDepth int
+	// MaxBatchBytes caps the bytes one fsync covers (default
+	// wal.DefaultMaxBatchBytes).
+	MaxBatchBytes int64
+	// OnCommit, when set, observes every successful commit point (records
+	// and bytes covered, commit-point duration) — the metrics hook. It
+	// runs on the committer goroutine; keep it fast.
+	OnCommit func(records int, bytes int64, took time.Duration)
 	// Identity names the replica owning the data dir. On first open it is
 	// stamped into the dir; a reopen under a different identity fails with
 	// ErrDataDirMismatch (a data dir is not portable across replicas —
@@ -63,20 +58,21 @@ type Options struct {
 }
 
 // DurableLedger wraps the in-memory hash-chained ledger with durability:
-// every appended block is journaled through the write-ahead log, and Open
-// rebuilds the chain from disk — replaying the WAL, truncating a torn tail,
-// re-auditing the rebuilt chain (ledger.Verify, including commit-proof
-// digests), and cross-checking the latest snapshot against it.
+// every appended block is journaled through the write-ahead log's
+// pipelined Appender, and Open rebuilds the chain from disk — replaying the
+// WAL, truncating a torn tail, re-auditing the rebuilt chain
+// (ledger.Verify, including commit-proof digests), and cross-checking the
+// latest snapshot against it.
 type DurableLedger struct {
 	dir  string
 	opts Options
 
-	mu    sync.Mutex
-	mem   *ledger.Ledger
-	log   *wal.Log
-	async *wal.Appender // pipelined commit path, nil in sync mode
-	snaps *SnapshotStore
-	snap  *Snapshot // latest consistent checkpoint found at Open, may be nil
+	mu       sync.Mutex
+	mem      *ledger.Ledger
+	log      *wal.Log
+	appender *wal.Appender // the commit path of log
+	snaps    *SnapshotStore
+	snap     *Snapshot // latest consistent checkpoint found at Open, may be nil
 }
 
 // Open opens (creating if necessary) the durable ledger rooted at dir. The
@@ -151,14 +147,19 @@ func Open(dir string, opts Options) (*DurableLedger, error) {
 		}
 		d.snap = snap
 	}
-	if opts.Async {
-		d.async = log.NewAppender(wal.AsyncOptions{
-			QueueDepth:    opts.AsyncQueueDepth,
-			MaxBatchBytes: opts.AsyncMaxBatchBytes,
-			OnCommit:      opts.AsyncOnCommit,
-		})
-	}
+	d.startAppender()
 	return d, nil
+}
+
+// startAppender starts the commit path over d.log. Open and InstallState
+// both build it here, so every incarnation of the appender carries the
+// same options, the commit hook included.
+func (d *DurableLedger) startAppender() {
+	d.appender = d.log.NewAppender(wal.AsyncOptions{
+		QueueDepth:    d.opts.QueueDepth,
+		MaxBatchBytes: d.opts.MaxBatchBytes,
+		OnCommit:      d.opts.OnCommit,
+	})
 }
 
 // replay rebuilds the in-memory chain from the WAL and re-audits it.
@@ -216,7 +217,7 @@ func (d *DurableLedger) checkSnapshot(snap *Snapshot) error {
 }
 
 // Memory returns the in-memory ledger view (reads: Height, Get, Head,
-// Verify). Mutate only through DurableLedger.Append. A state-transfer
+// Verify). Mutate only through DurableLedger.AppendAsync. A state-transfer
 // install replaces the ledger object: long-lived readers should re-fetch
 // rather than cache the pointer.
 func (d *DurableLedger) Memory() *ledger.Ledger {
@@ -232,44 +233,21 @@ func (d *DurableLedger) LatestSnapshot() *Snapshot {
 	return d.snap
 }
 
-// Append journals the block in the WAL and appends it to the in-memory
-// chain. It returns once the record is durable under the log's sync policy.
-// The lock spans both appends so WAL record order always equals chain
-// order, whatever goroutine calls here (the WAL itself still group-commits
-// across logs). An error is fatal for the replica: the in-memory chain may
-// then be ahead of disk, so the caller must stop journaling rather than
-// continue with a silent durability gap.
-func (d *DurableLedger) Append(batch *types.Batch, proof ledger.Proof, state types.Digest) (*ledger.Block, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	blk := d.mem.Append(batch, proof, state)
-	if _, err := d.log.Append(ledger.EncodeBlock(blk)); err != nil {
-		return blk, err
-	}
-	return blk, nil
-}
-
-// AppendAsync is the pipelined commit path: the block joins the in-memory
-// chain and is handed to the background committer without waiting for the
-// disk. done fires exactly once — from the committer, carrying the durable
-// LSN, once a commit point covers the record; inline with the sticky error
-// when the journal has already failed (the block is then ahead of disk and
-// the caller must stop journaling, same contract as Append). done runs on
-// the committer goroutine: keep it short and do not call back into the
-// ledger from it. AppendAsync blocks while AsyncQueueDepth blocks are in
-// flight. On a sync-mode ledger it degenerates to Append with an inline
-// done.
+// AppendAsync appends the block to the in-memory chain and hands its record
+// to the background committer without waiting for the disk. The lock spans
+// both steps so WAL record order always equals chain order. done fires
+// exactly once — from the committer, carrying the durable LSN, once a
+// commit point covers the record; inline with the sticky error when the
+// journal has already failed. An error is fatal for the replica: the block
+// is then ahead of disk, so the caller must stop journaling rather than
+// continue with a silent durability gap. done runs on the committer
+// goroutine: keep it short and do not call back into the ledger from it.
+// AppendAsync blocks while QueueDepth blocks are in flight.
 func (d *DurableLedger) AppendAsync(batch *types.Batch, proof ledger.Proof, state types.Digest, done func(lsn uint64, err error)) *ledger.Block {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	blk := d.mem.Append(batch, proof, state)
-	payload := ledger.EncodeBlock(blk)
-	if d.async == nil {
-		idx, err := d.log.Append(payload)
-		done(idx, err)
-		return blk
-	}
-	if _, err := d.async.Submit(payload, done); err != nil {
+	if _, err := d.appender.Submit(ledger.EncodeBlock(blk), done); err != nil {
 		done(0, err) // Submit never ran the callback; fail it here
 	}
 	return blk
@@ -370,39 +348,38 @@ func (d *DurableLedger) RestoreApp(app exec.Application) (uint64, error) {
 	return d.mem.TxnCount(), nil
 }
 
-// Sync forces all journaled blocks to durable storage. In async mode the
-// blocks are already in the log's buffer (AppendAsync writes before it
-// returns), so this also covers every block still awaiting its completion
-// callback — which the committer will still deliver.
-func (d *DurableLedger) Sync() error { return d.log.Sync() }
-
-// WAL exposes the underlying log (stats, pruning, tests).
-func (d *DurableLedger) WAL() *wal.Log { return d.log }
-
-// Appender exposes the async committer (stats, tests); nil in sync mode.
-func (d *DurableLedger) Appender() *wal.Appender { return d.async }
-
-// Close drains the async committer — every in-flight block gets its commit
-// point and its completion callback before Close returns — then flushes and
-// closes the journal.
-func (d *DurableLedger) Close() error {
-	if d.async != nil {
-		err := d.async.Close()
-		cerr := d.log.Close()
-		if err != nil && !errors.Is(err, wal.ErrClosed) {
-			return err
-		}
-		return cerr
-	}
-	return d.log.Close()
+// WAL exposes the live log (stats, tests). A state-transfer install
+// replaces it: read it on every use rather than caching the pointer.
+func (d *DurableLedger) WAL() *wal.Log {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.log
 }
 
-// CloseAbrupt closes the ledger the way a crash would: in-flight async
-// blocks get no commit point and no callbacks, and the log's write buffer
-// is discarded. Crash-realism test helper.
-func (d *DurableLedger) CloseAbrupt() {
-	if d.async != nil {
-		d.async.CloseAbrupt()
+// Appender exposes the live commit path (stats, tests). Like WAL, an
+// install replaces it.
+func (d *DurableLedger) Appender() *wal.Appender {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.appender
+}
+
+// Close drains the committer — every in-flight block gets its commit point
+// and its completion callback before Close returns — then flushes and
+// closes the journal.
+func (d *DurableLedger) Close() error {
+	err := d.appender.Close()
+	cerr := d.log.Close()
+	if err != nil && !errors.Is(err, wal.ErrClosed) {
+		return err
 	}
+	return cerr
+}
+
+// CloseAbrupt closes the ledger the way a crash would: in-flight blocks get
+// no commit point and no callbacks, and the log's write buffer is
+// discarded. Crash-realism test helper.
+func (d *DurableLedger) CloseAbrupt() {
+	d.appender.CloseAbrupt()
 	d.log.CloseAbrupt()
 }

@@ -15,8 +15,10 @@ import (
 	"repro/internal/ycsb"
 )
 
-// appendBlocksAsync mirrors appendBlocks over the pipelined path and
-// returns the set of heights whose completion callback reported durable.
+// appendBlocksAsync executes n single-transaction batches against app,
+// hands them to d, and returns the set of heights acked durable: a
+// completion without error whose LSN covers the block's own record (block
+// h is WAL record h+1).
 func appendBlocksAsync(t *testing.T, d *DurableLedger, app *ycsb.Store, start, n int) (acked func() map[uint64]bool, wait func()) {
 	t.Helper()
 	var mu sync.Mutex
@@ -32,19 +34,18 @@ func appendBlocksAsync(t *testing.T, d *DurableLedger, app *ycsb.Store, start, n
 		}
 		proof := ledger.Proof{Round: types.Round(start + i + 1), Digest: batch.Digest(), Signers: []types.ReplicaID{0, 1, 2}}
 		wg.Add(1)
-		blk := d.AppendAsync(batch, proof, app.StateDigest(), func(h uint64) func(uint64, error) {
-			return func(lsn uint64, err error) {
-				defer wg.Done()
-				if err != nil {
-					return
-				}
-				mu.Lock()
-				got[h] = true
-				mu.Unlock()
+		h := d.Memory().Height()
+		blk := d.AppendAsync(batch, proof, app.StateDigest(), func(lsn uint64, err error) {
+			defer wg.Done()
+			if err != nil || lsn < h+1 {
+				return
 			}
-		}(uint64(start+i)))
-		if blk.Height != uint64(start+i) {
-			t.Fatalf("block landed at height %d, want %d", blk.Height, start+i)
+			mu.Lock()
+			got[h] = true
+			mu.Unlock()
+		})
+		if blk.Height != h {
+			t.Fatalf("block landed at height %d, want the head %d", blk.Height, h)
 		}
 	}
 	return func() map[uint64]bool {
@@ -68,7 +69,7 @@ func appendBlocksAsync(t *testing.T, d *DurableLedger, app *ycsb.Store, start, n
 
 func TestAsyncLedgerAppendsSurviveReopen(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, Options{Async: true, AsyncQueueDepth: 16})
+	d, err := Open(dir, Options{QueueDepth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestAsyncLedgerAppendsSurviveReopen(t *testing.T) {
 // replays a verified prefix containing every block whose completion fired.
 func TestAsyncCrashNeverLosesAckedBlocks(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, Options{Async: true, AsyncQueueDepth: 4})
+	d, err := Open(dir, Options{QueueDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestAsyncCrashNeverLosesAckedBlocks(t *testing.T) {
 // durably, so the reopen must accept the pair.
 func TestAsyncSnapshotNeverOutrunsJournal(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, Options{Async: true, AsyncQueueDepth: 8})
+	d, err := Open(dir, Options{QueueDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestAsyncSnapshotNeverOutrunsJournal(t *testing.T) {
 
 func TestAsyncAppendFailureIsStickyToCallbacks(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, Options{Async: true})
+	d, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

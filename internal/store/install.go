@@ -201,10 +201,7 @@ func (d *DurableLedger) InstallState(snap *Snapshot, blocks []*ledger.Block) err
 	// Close the live journal before the swap; its files are about to be
 	// retired. From here on a failure leaves the store closed but the
 	// directory consistent (pre-marker: old state; post-marker: new).
-	if d.async != nil {
-		d.async.Close()
-		d.async = nil
-	}
+	d.appender.Close()
 	d.log.Close()
 
 	// Commit point.
@@ -239,12 +236,7 @@ func (d *DurableLedger) InstallState(snap *Snapshot, blocks []*ledger.Block) err
 	}
 	d.mem = mem
 	d.snap = snap
-	if d.opts.Async {
-		d.async = log.NewAppender(wal.AsyncOptions{
-			QueueDepth:    d.opts.AsyncQueueDepth,
-			MaxBatchBytes: d.opts.AsyncMaxBatchBytes,
-		})
-	}
+	d.startAppender()
 	return nil
 }
 

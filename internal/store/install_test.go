@@ -3,7 +3,9 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/ledger"
 	"repro/internal/wal"
@@ -80,6 +82,56 @@ func TestInstallStateRebasesWipedStore(t *testing.T) {
 	}
 	if got := d2.Memory().TxnCount(); got != 11 {
 		t.Fatalf("reopened txn count %d, want 11", got)
+	}
+}
+
+// TestInstallStateKeepsCommitHook: the appender an install rebuilds carries
+// the commit hook, so the WAL fsync metrics and fsync_stall events keep
+// flowing after a state transfer; and the WAL and Appender accessors a
+// metrics scrape reads race-free with the install and name the live log
+// and appender after it.
+func TestInstallStateKeepsCommitHook(t *testing.T) {
+	snap, blocks := buildSourceState(t, 9, 4)
+	var commits atomic.Int64
+	d, err := Open(t.TempDir(), Options{
+		Sync:     wal.SyncNone,
+		OnCommit: func(int, int64, time.Duration) { commits.Add(1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				d.WAL().Stats()
+				d.Appender().Stats()
+			}
+		}
+	}()
+	err = d.InstallState(snap, blocks)
+	close(stop)
+	<-scraped
+	if err != nil {
+		t.Fatalf("install: %v", err)
+	}
+	app := ycsb.NewStore(64)
+	if _, err := d.RestoreApp(app); err != nil {
+		t.Fatal(err)
+	}
+	before := commits.Load()
+	appendBlocks(t, d, app, 9, 3)
+	if n := commits.Load() - before; n == 0 {
+		t.Fatalf("commit hook fired %d times after the install", n)
+	}
+	if submitted, _ := d.Appender().Stats(); submitted != 3 {
+		t.Fatalf("live appender counts %d submissions, want the 3 made after the install", submitted)
 	}
 }
 

@@ -3,34 +3,25 @@ package store
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
 
-	"repro/internal/ledger"
 	"repro/internal/types"
 	"repro/internal/wal"
 	"repro/internal/ycsb"
 )
 
 // appendBlocks executes n single-transaction batches against app and
-// journals them through d, mirroring what the execution engine does.
+// journals them through d, mirroring what the execution engine does, and
+// waits until every block is acked durable (see appendBlocksAsync).
 func appendBlocks(t *testing.T, d *DurableLedger, app *ycsb.Store, start, n int) {
 	t.Helper()
-	for i := 0; i < n; i++ {
-		batch := &types.Batch{Txns: []types.Transaction{{
-			Client: 1, Seq: uint64(start + i + 1),
-			Op: ycsb.EncodeWrite(uint32(start+i), []byte(fmt.Sprintf("v%d", start+i))),
-		}}}
-		for j := range batch.Txns {
-			app.Execute(batch.Txns[j])
-		}
-		proof := ledger.Proof{Round: types.Round(start + i + 1), Digest: batch.Digest(), Signers: []types.ReplicaID{0, 1, 2}}
-		if _, err := d.Append(batch, proof, app.StateDigest()); err != nil {
-			t.Fatalf("append block %d: %v", start+i, err)
-		}
+	acked, wait := appendBlocksAsync(t, d, app, start, n)
+	wait()
+	if got := len(acked()); got != n {
+		t.Fatalf("%d of %d blocks acked durable", got, n)
 	}
 }
 

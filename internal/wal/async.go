@@ -39,14 +39,15 @@ type pendingRec struct {
 	done func(lsn uint64, err error)
 }
 
-// Appender is the pipelined commit path of a Log: Submit writes the record
-// into the log's buffer and returns immediately with its index; a single
-// background committer coalesces every record in flight under one fsync and
-// then reports each record durable via its completion callback, carrying
-// the log's durable LSN. This is group commit for a SINGLE sequential
-// appender — the replica event loop's situation — where the Log's own
-// group commit cannot amortize because a lone Append always waits out a
-// full fsync.
+// Appender is the commit path of a Log: Submit writes the record into the
+// log's buffer and returns immediately with its index; a single background
+// committer issues commit points and then reports each covered record
+// durable via its completion callback, carrying the log's durable LSN. The
+// log's SyncPolicy decides what a commit point covers and does: under
+// SyncGroup it coalesces every record in flight under one fsync (group
+// commit for a single sequential appender — the replica event loop's
+// situation), under SyncAlways it covers exactly one record, and under
+// SyncNone it flushes to the OS without an fsync.
 //
 // Errors are sticky, mirroring the Log: after any write or fsync failure
 // every in-flight callback fires with the error, and every later Submit
@@ -75,10 +76,8 @@ type Appender struct {
 	batches   atomic.Uint64 // commit points (fsyncs) issued
 }
 
-// NewAppender starts an async appender over l. The caller owns sequencing:
+// NewAppender starts an appender over l. The caller owns sequencing:
 // records are durable in submit order, and Submit must not race Close.
-// Mixing Submit with direct l.Append calls is safe but forfeits the
-// pipelining for those appends.
 func (l *Log) NewAppender(opts AsyncOptions) *Appender {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = DefaultQueueDepth
@@ -135,7 +134,7 @@ func (a *Appender) Submit(payload []byte, done func(lsn uint64, err error)) (uin
 		return 0, ErrClosed
 	}
 	a.mu.Unlock()
-	idx, err := a.log.appendBuffered(payload)
+	idx, err := a.log.AppendNoSync(payload)
 	if err != nil {
 		a.subMu.Unlock()
 		<-a.slots
@@ -171,9 +170,9 @@ func (a *Appender) Stats() (submitted, batches uint64) {
 	return a.submitted.Load(), a.batches.Load()
 }
 
-// run is the committer: pull the oldest in-flight record, coalesce
-// everything queued behind it up to MaxBatchBytes, issue ONE commit point,
-// then wake every covered waiter.
+// run is the committer: pull the oldest in-flight record, coalesce what
+// the sync policy allows behind it, issue ONE commit point, then wake every
+// covered waiter.
 func (a *Appender) run() {
 	defer a.wg.Done()
 	for {
@@ -191,11 +190,11 @@ func (a *Appender) run() {
 }
 
 // collect greedily batches queued records behind first, bounded by
-// MaxBatchBytes.
+// MaxBatchBytes. Under SyncAlways every record is its own batch.
 func (a *Appender) collect(first pendingRec) []pendingRec {
 	batch := append(a.scratch[:0], first)
 	size := first.size
-	for size < a.opts.MaxBatchBytes {
+	for size < a.opts.MaxBatchBytes && a.log.opts.Sync != SyncAlways {
 		select {
 		case rec := <-a.records:
 			batch = append(batch, rec)
@@ -234,7 +233,7 @@ func (a *Appender) commit(batch []pendingRec) {
 		}
 		if a.log.opts.Sync == SyncNone {
 			// The log's owner opted out of fsync: push to the OS and call
-			// that the commit point, best-effort like synchronous SyncNone.
+			// that the commit point, best-effort.
 			err = a.log.Flush()
 			lsn = batch[len(batch)-1].idx // Flush advances no durable watermark
 		} else {

@@ -330,3 +330,42 @@ func TestAsyncSyncNonePolicySkipsFsync(t *testing.T) {
 		t.Fatalf("%d fsyncs issued under SyncNone", syncs)
 	}
 }
+
+// TestAsyncSyncAlwaysCommitsEachRecord pins SyncAlways as an appender
+// policy: every record gets its own commit point, even when records queue
+// up behind a slow fsync that SyncGroup would coalesce.
+func TestAsyncSyncAlwaysCommitsEachRecord(t *testing.T) {
+	l := openT(t, t.TempDir(), Options{Sync: SyncAlways})
+	release := make(chan struct{})
+	var stalled sync.Once
+	ready := make(chan struct{})
+	l.fsyncFn = func(f *os.File) error {
+		stalled.Do(func() { close(ready) })
+		<-release
+		return f.Sync()
+	}
+	a := l.NewAppender(AsyncOptions{QueueDepth: 16})
+	acks := submitN(t, a, 0, 1)
+	<-ready // the first commit point is in its fsync
+	more := submitN(t, a, 1, 9)
+	close(release)
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(acks)
+	close(more)
+	for _, ch := range []chan ack{acks, more} {
+		for k := range ch {
+			if k.err != nil || k.lsn < k.idx {
+				t.Fatalf("record %d: lsn %d, err %v", k.idx, k.lsn, k.err)
+			}
+		}
+	}
+	submitted, batches := a.Stats()
+	if submitted != 10 || batches != submitted {
+		t.Fatalf("%d records over %d commit points, want one commit point per record", submitted, batches)
+	}
+	if _, syncs := l.Stats(); syncs != submitted {
+		t.Fatalf("%d fsyncs for %d records", syncs, submitted)
+	}
+}

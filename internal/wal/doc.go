@@ -1,4 +1,4 @@
-// Package wal implements the segmented, checksummed, group-commit
+// Package wal implements the segmented, checksummed, pipelined
 // write-ahead log underlying the durable storage subsystem
 // (internal/store). It persists the blockchain ledger the paper's replicas
 // maintain (§V-B) so a restarted replica resumes from disk instead of
@@ -61,45 +61,24 @@
 // Options.FirstIndex is the creation hook; Log.Base reports the rebase
 // point.
 //
-// Acked⇒durable across a state transfer: the async committer is drained
+// Acked⇒durable across a state transfer: the Appender's committer is drained
 // and closed before the old journal is retired, the staged log is fully
 // fsynced before the commit marker is written, and the install either
 // completes or leaves the old state untouched — so at every instant the
 // journal on disk covers every transaction any client was ever
 // acknowledged for, on both sides of the swap.
 //
-// # Group commit
+// # Commit path (Appender)
 //
-// Durability policy is per-log (Options.Sync):
-//
-//   - SyncGroup (default): appenders publish their record under the write
-//     lock, then wait on a shared commit point. One appender becomes the
-//     sync leader and issues a single fdatasync covering every record
-//     written so far; appenders that arrive while that fsync is in flight
-//     are covered by the NEXT fsync, issued immediately after by the next
-//     leader. Concurrent appenders therefore amortize the ~ms fsync cost
-//     across the whole group (see BenchmarkWALAppend) while every Append
-//     still returns only after its record is durable.
-//
-//   - SyncAlways: one fsync per record, serialized. The safe, slow
-//     baseline the benchmark compares against.
-//
-//   - SyncNone: no explicit fsync; durability is left to the OS page
-//     cache. For tests and throwaway runs.
-//
-// # Async pipelined commit (Appender)
-//
-// Group commit amortizes across CONCURRENT appenders, but a replica's
-// event loop is one sequential appender: stop-and-wait journaling pays a
-// full fsync per block however the log batches. The Appender converts that
-// path to a pipeline:
+// Every record that must become durable goes through an Appender, the
+// pipelined commit path of the replica's single sequential producer (its
+// event loop):
 //
 //   - Submit writes the record into the log's buffer and returns
 //     immediately with its index; the caller keeps executing.
-//   - A single committer goroutine coalesces every record in flight — up
-//     to AsyncOptions.MaxBatchBytes per batch — under ONE commit point
-//     (flush under the write lock, fsync outside it, exactly like the
-//     group-commit leader), then fires each record's completion callback
+//   - A single committer goroutine issues commit points (flush under the
+//     write lock, fsync outside it, so submitters keep writing while the
+//     disk works), then fires each covered record's completion callback
 //     with the durable LSN, in index order.
 //   - AsyncOptions.QueueDepth bounds records submitted but not yet
 //     durable; a full queue blocks Submit, back-pressuring the producer
@@ -111,9 +90,20 @@
 //     callbacks before Close returns. CloseAbrupt is the crash-shaped
 //     close for tests — no flush, no fsync, no callbacks.
 //
-// The replica runtime defers client replies to these callbacks
-// (runtime.Config.Journaling.Async): a client acknowledgement then implies the
-// block is on disk, while the event loop never waits out an fsync.
-// BenchmarkAsyncJournal compares the two shapes; records/fsync reports the
-// amortization the pipeline recovers.
+// The log's policy (Options.Sync) decides what one commit point covers:
+//
+//   - SyncGroup (default): group commit — every record in flight, up to
+//     AsyncOptions.MaxBatchBytes, shares one fsync, so the ~ms fsync cost
+//     amortizes across the blocks the producer executed meanwhile
+//     (BenchmarkAsyncJournal reports records/fsync).
+//   - SyncAlways: exactly one record, so every record pays its own fsync.
+//   - SyncNone: the commit point flushes to the OS without an fsync;
+//     durability is left to the page cache. For tests and throwaway runs.
+//
+// AppendNoSync bypasses the Appender for bulk writes that one explicit
+// Sync then covers (state-transfer installs and catch-up).
+//
+// The replica runtime acknowledges clients from the completion callbacks:
+// a client acknowledgement implies the block is on disk, while the event
+// loop never waits out an fsync.
 package wal

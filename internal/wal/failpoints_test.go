@@ -7,7 +7,7 @@ import (
 
 // TestFsyncFailpointPoisonsLog injects an fsync error into a SyncAlways log
 // and checks it enters the same sticky fatal path a real EIO would: the
-// failing append surfaces the injected error, the log refuses all further
+// failing append's sync surfaces the injected error, the log refuses all further
 // appends even after the failpoint heals, and a reopen replays exactly the
 // prefix that was fsynced before the fault.
 func TestFsyncFailpointPoisonsLog(t *testing.T) {
@@ -18,7 +18,7 @@ func TestFsyncFailpointPoisonsLog(t *testing.T) {
 	appendN(t, l, 0, 3)
 
 	fp.FailFsync(injected)
-	if _, err := l.Append([]byte("doomed")); !errors.Is(err, injected) {
+	if _, err := appendSync(l, []byte("doomed")); !errors.Is(err, injected) {
 		t.Fatalf("append under armed failpoint returned %v, want %v", err, injected)
 	}
 	if got := fp.FsyncFails.Load(); got == 0 {
@@ -28,7 +28,7 @@ func TestFsyncFailpointPoisonsLog(t *testing.T) {
 	// Healing the disk must not resurrect the log: the kernel may have
 	// dropped the dirty pages, so the poison is sticky until restart.
 	fp.HealFsync()
-	if _, err := l.Append([]byte("still-doomed")); err == nil {
+	if _, err := appendSync(l, []byte("still-doomed")); err == nil {
 		t.Fatal("poisoned log accepted an append after HealFsync")
 	}
 	l.CloseAbrupt()
@@ -48,7 +48,7 @@ func TestFsyncFailpointPoisonsLog(t *testing.T) {
 		}
 	}
 	// Healed failpoint: the new incarnation writes fine.
-	if _, err := l2.Append([]byte("recovered")); err != nil {
+	if _, err := appendSync(l2, []byte("recovered")); err != nil {
 		t.Fatalf("append after restart: %v", err)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,18 +30,19 @@ const (
 	DefaultSegmentBytes = 64 << 20
 )
 
-// SyncPolicy selects when appends become durable. See the package
+// SyncPolicy selects what an Appender commit point does. See the package
 // documentation for the trade-offs.
 type SyncPolicy int
 
 const (
-	// SyncGroup batches fsyncs across concurrent appenders (group
-	// commit); every Append still returns only after its record is
-	// durable. The default.
+	// SyncGroup coalesces every record in flight under one fsync (group
+	// commit). The default.
 	SyncGroup SyncPolicy = iota
-	// SyncAlways issues one fsync per record.
+	// SyncAlways gives every record its own commit point: one fsync per
+	// record.
 	SyncAlways
-	// SyncNone never fsyncs explicitly; durability is best-effort.
+	// SyncNone never fsyncs explicitly: a commit point only flushes to
+	// the operating system, so durability is best-effort.
 	SyncNone
 )
 
@@ -79,8 +79,10 @@ type segment struct {
 
 func (s *segment) lastIndex() uint64 { return s.first + s.count - 1 }
 
-// Log is a segmented write-ahead log. Append, Sync, and Close are safe for
-// concurrent use; Replay must not run concurrently with Append.
+// Log is a segmented write-ahead log. Records enter through an Appender
+// (the pipelined commit path) or AppendNoSync (bulk installs). Appends,
+// Sync, and Close are safe for concurrent use; Replay must not run
+// concurrently with appends.
 type Log struct {
 	dir  string
 	opts Options
@@ -90,34 +92,18 @@ type Log struct {
 	f         *os.File      // active (last) segment
 	w         *bufio.Writer // buffers writes into f
 	size      int64         // bytes written to the active segment
-	next      uint64        // index the next Append receives
+	next      uint64        // index the next append receives
 	closed    bool
 	fatal     error // sticky fsync failure: the kernel may have dropped dirty pages
 	truncated int   // torn records dropped at Open
 
 	appends atomic.Uint64 // records appended this process
 	syncs   atomic.Uint64 // fsyncs issued this process
+	durable atomic.Uint64 // highest index known durable
 
 	// fsyncFn, when non-nil, replaces (*os.File).Sync — the test seam for
 	// injecting fsync failures (fsyncgate realism).
 	fsyncFn func(*os.File) error
-
-	gc struct {
-		mu      sync.Mutex
-		synced  uint64       // highest index known durable
-		syncing bool         // a group leader is at work
-		pending *commitBatch // waiters for the leader's next commit point
-		err     error        // sticky fsync failure
-	}
-}
-
-// commitBatch is one group-commit generation: every waiter whose record
-// precedes the leader's next flush blocks on done; the leader publishes the
-// outcome and closes it — a single wakeup with no lock convoy.
-type commitBatch struct {
-	done   chan struct{}
-	target uint64
-	err    error
 }
 
 // Open opens (creating if necessary) the log in dir, validates every
@@ -199,7 +185,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		}
 		l.f, l.w, l.size = f, bufio.NewWriterSize(f, writeBuffer), fi.Size()
 	}
-	l.gc.synced = l.next - 1
+	l.durable.Store(l.next - 1)
 	return l, nil
 }
 
@@ -346,11 +332,7 @@ func (l *Log) rollLocked() error {
 			return fmt.Errorf("wal: %w", err)
 		}
 		// Everything in the closed segment is durable now.
-		l.gc.mu.Lock()
-		if prev := l.next - 1; prev > l.gc.synced {
-			l.gc.synced = prev
-		}
-		l.gc.mu.Unlock()
+		l.markDurable(l.next - 1)
 	}
 	path := filepath.Join(l.dir, fmt.Sprintf("%s%016x%s", segPrefix, l.next, segSuffix))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
@@ -405,21 +387,15 @@ func (l *Log) writeLocked(payload []byte) (uint64, error) {
 	return idx, nil
 }
 
-// appendBuffered writes payload as the next record and returns immediately,
-// whatever the sync policy — the Appender's submit path. The record is not
-// durable until a later Sync (or the group committer) covers it.
-func (l *Log) appendBuffered(payload []byte) (uint64, error) {
+// AppendNoSync writes payload as the next record and returns its 1-based
+// index immediately, whatever the sync policy: the record is buffered, not
+// durable, until a later Sync or Appender commit point covers it. It is the
+// Appender's submit path, and bulk installers (state transfer) use it to
+// write a whole block suffix under one fsync instead of one per record.
+func (l *Log) AppendNoSync(payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.writeLocked(payload)
-}
-
-// AppendNoSync writes payload as the next record and returns immediately,
-// whatever the sync policy: the record is buffered, not durable, until a
-// later Sync covers it. Bulk installers (state transfer) use it to write a
-// whole block suffix under one fsync instead of one per record.
-func (l *Log) AppendNoSync(payload []byte) (uint64, error) {
-	return l.appendBuffered(payload)
 }
 
 // Base returns the index the oldest segment starts at — the log's rebase
@@ -435,140 +411,6 @@ func (l *Log) Base() uint64 {
 	return l.segments[0].first
 }
 
-// Append writes payload as the next record and returns its 1-based index.
-// It returns once the record is durable under the log's sync policy.
-func (l *Log) Append(payload []byte) (uint64, error) {
-	l.mu.Lock()
-	idx, err := l.writeLocked(payload)
-	if err != nil {
-		l.mu.Unlock()
-		return 0, err
-	}
-
-	switch l.opts.Sync {
-	case SyncNone:
-		l.mu.Unlock()
-		return idx, nil
-	case SyncAlways:
-		err := l.syncLocked()
-		l.mu.Unlock()
-		if err != nil {
-			return 0, err
-		}
-		return idx, nil
-	default:
-		l.mu.Unlock()
-		if err := l.waitDurable(idx); err != nil {
-			return 0, err
-		}
-		return idx, nil
-	}
-}
-
-// waitDurable implements group commit: the first appender to find no
-// leader at work becomes the leader; everyone else joins the pending batch
-// and blocks on its channel. The leader yields once so concurrently-running
-// appenders finish their writes, flushes under the write lock, fsyncs
-// OUTSIDE it (appenders keep writing while the disk works), publishes the
-// commit point, and keeps going while new waiters have piled up — so every
-// fsync covers a whole generation of records and waiters wake without a
-// lock convoy.
-func (l *Log) waitDurable(idx uint64) error {
-	gc := &l.gc
-	for {
-		gc.mu.Lock()
-		if gc.synced >= idx {
-			gc.mu.Unlock()
-			return nil
-		}
-		if gc.err != nil {
-			err := gc.err
-			gc.mu.Unlock()
-			return err
-		}
-		if gc.syncing {
-			b := gc.pending
-			if b == nil {
-				b = &commitBatch{done: make(chan struct{})}
-				gc.pending = b
-			}
-			gc.mu.Unlock()
-			<-b.done
-			if b.err == nil && b.target >= idx {
-				return nil
-			}
-			continue // re-examine under the lock (error or not yet covered)
-		}
-		gc.syncing = true
-		gc.mu.Unlock()
-
-		for {
-			// Let appenders that are already running reach the buffer so
-			// this commit point covers them too.
-			runtime.Gosched()
-
-			gc.mu.Lock()
-			b := gc.pending
-			gc.pending = nil
-			gc.mu.Unlock()
-
-			l.mu.Lock()
-			var target uint64
-			var err error
-			var f *os.File
-			if l.closed {
-				err = ErrClosed
-			} else {
-				target = l.next - 1 // covers every record written so far
-				if ferr := l.w.Flush(); ferr != nil {
-					err = fmt.Errorf("wal: %w", ferr)
-				}
-				f = l.f
-			}
-			l.mu.Unlock()
-			if err == nil && f != nil {
-				err = l.fsyncOutsideLock(f)
-			}
-
-			gc.mu.Lock()
-			var orphan *commitBatch
-			if err != nil {
-				if gc.err == nil {
-					gc.err = err
-				}
-				// Don't strand waiters that piled up during the failed
-				// fsync: hand them the error too.
-				orphan, gc.pending = gc.pending, nil
-			} else if target > gc.synced {
-				gc.synced = target
-			}
-			more := gc.pending != nil && err == nil
-			if !more {
-				gc.syncing = false
-			}
-			covered := gc.synced >= idx // e.g. Close's final sync beat us
-			gc.mu.Unlock()
-			if b != nil {
-				b.target, b.err = target, err
-				close(b.done)
-			}
-			if orphan != nil {
-				orphan.err = err
-				close(orphan.done)
-			}
-			if err != nil {
-				if covered {
-					return nil
-				}
-				return err
-			}
-			if !more {
-				return nil // target covers the leader's own record
-			}
-		}
-	}
-}
-
 // fsync flushes f's data to stable storage, via the test seam when set.
 // An armed fsync failpoint takes precedence over both the seam and the
 // real syscall: the injected error enters the same sticky-failure paths.
@@ -582,24 +424,14 @@ func (l *Log) fsync(f *os.File) error {
 	return f.Sync()
 }
 
-// fsyncOutsideLock is the shared tail of every commit point that fsyncs
-// without holding l.mu (the group-commit leader and the async committer):
-// a segment roll or Close may race us and close f, but both fsync before
-// closing, so ErrClosed means "already durable". A real failure poisons
-// the log (fsyncgate: the kernel may have dropped the dirty pages, so no
-// later append may be reported durable).
-func (l *Log) fsyncOutsideLock(f *os.File) error {
-	l.syncs.Add(1)
-	if serr := l.fsync(f); serr != nil && !errors.Is(serr, os.ErrClosed) {
-		err := fmt.Errorf("wal: %w", serr)
-		l.mu.Lock()
-		if l.fatal == nil {
-			l.fatal = err
+// markDurable advances the durable watermark to idx (it never moves back).
+func (l *Log) markDurable(idx uint64) {
+	for {
+		cur := l.durable.Load()
+		if idx <= cur || l.durable.CompareAndSwap(cur, idx) {
+			return
 		}
-		l.mu.Unlock()
-		return err
 	}
-	return nil
 }
 
 // syncLocked flushes the write buffer, fsyncs the active segment, and
@@ -616,12 +448,7 @@ func (l *Log) syncLocked() error {
 		l.fatal = fmt.Errorf("wal: %w", err)
 		return l.fatal
 	}
-	synced := l.next - 1
-	l.gc.mu.Lock()
-	if synced > l.gc.synced {
-		l.gc.synced = synced
-	}
-	l.gc.mu.Unlock()
+	l.markDurable(l.next - 1)
 	return nil
 }
 
@@ -639,10 +466,14 @@ func (l *Log) Sync() error {
 	return l.syncLocked()
 }
 
-// syncPipelined is the async committer's commit point: it flushes under the
-// write lock, fsyncs OUTSIDE it so submitters keep writing while the disk
-// works, and returns the durable watermark — covering every record written
-// before the flush. Failures poison the log like syncLocked's.
+// syncPipelined is the Appender's commit point: it flushes under the write
+// lock, fsyncs OUTSIDE it so submitters keep writing while the disk works,
+// and returns the durable watermark — covering every record written before
+// the flush. A segment roll or Close may race the fsync and close f, but
+// both fsync before closing, so os.ErrClosed means "already durable". A
+// real failure poisons the log like syncLocked's (fsyncgate: the kernel may
+// have dropped the dirty pages, so no later append may be reported
+// durable).
 func (l *Log) syncPipelined() (uint64, error) {
 	l.mu.Lock()
 	if l.closed {
@@ -664,21 +495,23 @@ func (l *Log) syncPipelined() (uint64, error) {
 	f := l.f
 	l.mu.Unlock()
 
-	if err := l.fsyncOutsideLock(f); err != nil {
+	l.syncs.Add(1)
+	if serr := l.fsync(f); serr != nil && !errors.Is(serr, os.ErrClosed) {
+		err := fmt.Errorf("wal: %w", serr)
+		l.mu.Lock()
+		if l.fatal == nil {
+			l.fatal = err
+		}
+		l.mu.Unlock()
 		return 0, err
 	}
-	l.gc.mu.Lock()
-	if target > l.gc.synced {
-		l.gc.synced = target
-	}
-	synced := l.gc.synced
-	l.gc.mu.Unlock()
-	return synced, nil
+	l.markDurable(target)
+	return l.durable.Load(), nil
 }
 
 // Flush pushes buffered writes to the operating system without fsyncing —
-// data survives a process crash but not a power loss. The async committer
-// uses it in place of Sync under SyncNone.
+// data survives a process crash but not a power loss. The Appender
+// uses it as the commit point under SyncNone.
 func (l *Log) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -697,15 +530,11 @@ func (l *Log) Flush() error {
 
 // DurableIndex returns the highest record index known to be durable (0
 // when nothing is durable yet).
-func (l *Log) DurableIndex() uint64 {
-	l.gc.mu.Lock()
-	defer l.gc.mu.Unlock()
-	return l.gc.synced
-}
+func (l *Log) DurableIndex() uint64 { return l.durable.Load() }
 
 // Replay streams every record to fn in index order. It re-reads from disk,
 // so it reflects exactly what a restart would recover. Replay must not run
-// concurrently with Append.
+// concurrently with appends.
 func (l *Log) Replay(fn func(index uint64, payload []byte) error) error {
 	l.mu.Lock()
 	if l.closed {
@@ -807,7 +636,7 @@ func (l *Log) Segments() int {
 func (l *Log) Truncated() int { return l.truncated }
 
 // Stats reports the appended-record and issued-fsync counts of this
-// process — the ratio is the group-commit amortization factor.
+// process — the ratio is the commit-point amortization factor.
 func (l *Log) Stats() (appends, syncs uint64) {
 	return l.appends.Load(), l.syncs.Load()
 }
@@ -827,15 +656,6 @@ func (l *Log) Close() error {
 	l.closed = true
 	cerr := l.f.Close()
 	l.mu.Unlock()
-
-	l.gc.mu.Lock()
-	if l.gc.err == nil {
-		l.gc.err = ErrClosed
-	}
-	// A pending batch can only exist while a leader is at work; that
-	// leader observes l.closed and wakes it, so nothing to drain here.
-	l.gc.mu.Unlock()
-
 	if err != nil {
 		return err
 	}
@@ -870,10 +690,4 @@ func (l *Log) CloseAbrupt() {
 		l.opts.Failpoints.tear(tearPath)
 	}
 	l.mu.Unlock()
-
-	l.gc.mu.Lock()
-	if l.gc.err == nil {
-		l.gc.err = ErrClosed
-	}
-	l.gc.mu.Unlock()
 }

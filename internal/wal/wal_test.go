@@ -21,10 +21,26 @@ func openT(t *testing.T, dir string, opts Options) *Log {
 	return l
 }
 
+// appendSync writes payload and makes it durable before returning: the
+// acked⇒durable shape of one record, without an Appender.
+func appendSync(l *Log, payload []byte) (uint64, error) {
+	idx, err := l.AppendNoSync(payload)
+	if err != nil {
+		return 0, err
+	}
+	if err := l.Sync(); err != nil {
+		return 0, err
+	}
+	if l.DurableIndex() < idx {
+		return 0, fmt.Errorf("record %d synced but durable index is %d", idx, l.DurableIndex())
+	}
+	return idx, nil
+}
+
 func appendN(t *testing.T, l *Log, start, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		idx, err := l.Append([]byte(fmt.Sprintf("record-%04d", start+i)))
+		idx, err := appendSync(l, []byte(fmt.Sprintf("record-%04d", start+i)))
 		if err != nil {
 			t.Fatalf("append %d: %v", start+i, err)
 		}
@@ -212,18 +228,30 @@ func TestMissingSegmentIsCorruption(t *testing.T) {
 	}
 }
 
+// TestGroupCommitConcurrentAppendsAllDurable submits from several
+// goroutines at once through one Appender and crashes right after the last
+// completion: every acknowledged record must replay.
 func TestGroupCommitConcurrentAppendsAllDurable(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, Options{Sync: SyncGroup})
+	a := l.NewAppender(AsyncOptions{QueueDepth: 16})
 	const writers, each = 8, 25
 	var wg sync.WaitGroup
-	errs := make(chan error, writers)
+	errs := make(chan error, writers*each)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if _, err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
+				wg.Add(1)
+				_, err := a.Submit([]byte(fmt.Sprintf("w%d-%d", w, i)), func(_ uint64, err error) {
+					defer wg.Done()
+					if err != nil {
+						errs <- err
+					}
+				})
+				if err != nil {
+					wg.Done() // Submit failed, so the callback never runs
 					errs <- err
 					return
 				}
@@ -238,7 +266,12 @@ func TestGroupCommitConcurrentAppendsAllDurable(t *testing.T) {
 	if l.LastIndex() != writers*each {
 		t.Fatalf("last index %d, want %d", l.LastIndex(), writers*each)
 	}
-	l.Close()
+	if got := l.DurableIndex(); got != writers*each {
+		t.Fatalf("every record acked but durable index is %d, want %d", got, writers*each)
+	}
+	// Every record is acknowledged: a crash now must lose none of them.
+	a.CloseAbrupt()
+	l.CloseAbrupt()
 
 	l2 := openT(t, dir, Options{})
 	if got := len(collect(t, l2)); got != writers*each {
@@ -278,7 +311,7 @@ func TestPruneDropsOnlyWholeColdSegments(t *testing.T) {
 func TestAppendAfterCloseFails(t *testing.T) {
 	l := openT(t, t.TempDir(), Options{})
 	l.Close()
-	if _, err := l.Append([]byte("x")); !errors.Is(err, ErrClosed) {
+	if _, err := appendSync(l, []byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after close: %v, want ErrClosed", err)
 	}
 }
@@ -286,7 +319,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 func TestEmptyPayloadRoundTrips(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, Options{Sync: SyncNone})
-	if _, err := l.Append(nil); err != nil {
+	if _, err := appendSync(l, nil); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
