@@ -9,46 +9,14 @@ import (
 	"fmt"
 	"log"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/crypto"
-	"repro/internal/quorum"
-	"repro/internal/runtime"
-	"repro/internal/transport"
 	"repro/internal/types"
 	"repro/internal/ycsb"
 )
-
-func parsePeers(s string) (map[types.ReplicaID]string, error) {
-	peers := make(map[types.ReplicaID]string)
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad peer %q (want id=host:port)", part)
-		}
-		id, err := strconv.Atoi(kv[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad peer id %q: %v", kv[0], err)
-		}
-		peers[types.ReplicaID(id)] = kv[1]
-	}
-	return peers, nil
-}
-
-// buildAuth resolves the -auth / -auth-secret flags into an authenticator.
-func buildAuth(schemeArg, secret string, party uint32) (crypto.Authenticator, error) {
-	scheme, err := crypto.ParseScheme(schemeArg)
-	if err != nil {
-		return nil, err
-	}
-	if scheme == crypto.SchemeNone {
-		return nil, nil
-	}
-	return crypto.NewAuth(scheme, party, []byte(secret))
-}
 
 func main() {
 	var (
@@ -57,78 +25,53 @@ func main() {
 		peersArg = flag.String("peers", "", "comma-separated id=host:port replica map")
 		txns     = flag.Int("txns", 100, "transactions to execute")
 		window   = flag.Int("window", 8, "client pipeline depth")
-		zyz      = flag.Bool("zyzzyva", false, "collect all-n speculative responses (Zyzzyva deployments)")
+		protoArg = flag.String("protocol", "rcc", "protocol the nodes run (zyzzyva collects all-n speculative responses)")
 		authArg  = flag.String("auth", "", "frame authentication scheme: none, mac, ds (must match the nodes); default none")
 		authKey  = flag.String("auth-secret", "", "shared deployment secret (must match the nodes)")
 		timeout  = flag.Duration("timeout", 60*time.Second, "overall deadline")
-		sendQ    = flag.Int("send-queue", 0, "per-replica outbound queue depth (0 = default 4096)")
-		sendB    = flag.Int("send-batch-bytes", 0, "max encoded bytes coalesced per write syscall (0 = default 128 KiB)")
 	)
 	flag.Parse()
 
-	peers, err := parsePeers(*peersArg)
+	peers, err := core.ParsePeers(*peersArg)
 	if err != nil {
 		log.Fatalf("rccclient: %v", err)
 	}
-	params, err := quorum.NewParams(*n)
+	scheme, err := crypto.ParseScheme(*authArg)
 	if err != nil {
 		log.Fatalf("rccclient: %v", err)
 	}
 
-	mode := client.ModePBFT
-	if *zyz {
-		mode = client.ModeZyzzyva
-	}
-	cid := types.ClientID(*id)
-	mach := client.New(client.Config{
-		Client:       cid,
-		Mode:         mode,
-		Broadcast:    true,
-		RetryTimeout: 2 * time.Second,
-	})
-	mach.SetWindow(*window)
-
-	wl := ycsb.NewWorkload(ycsb.WorkloadConfig{Seed: int64(*id)})
-	for i := 0; i < *txns; i++ {
-		mach.Submit(wl.Next(cid))
-	}
-	done := make(chan struct{}, 1)
+	done := make(chan struct{})
 	count := 0
-	mach.SetCompletionHook(func(client.Completion) {
+	cid := types.ClientID(*id)
+	sess, err := core.Connect(core.Options{
+		N:        *n,
+		Protocol: core.Protocol(*protoArg),
+		Auth:     scheme,
+		Secret:   *authKey,
+	}, cid, peers, *window, func(client.Completion) {
 		count++
 		if count == *txns {
-			done <- struct{}{}
+			close(done)
 		}
 	})
-
-	proc := runtime.NewClient(cid, params, mach)
-	auth, err := buildAuth(*authArg, *authKey, crypto.ClientPartyID(cid))
 	if err != nil {
 		log.Fatalf("rccclient: %v", err)
 	}
-	tcp, err := transport.NewTCP(transport.TCPConfig{
-		IsClient:      true,
-		SelfClient:    cid,
-		Peers:         peers,
-		Auth:          auth,
-		QueueDepth:    *sendQ,
-		MaxBatchBytes: *sendB,
-	}, proc)
-	if err != nil {
-		log.Fatalf("rccclient: %v", err)
-	}
-	proc.Attach(tcp)
-
 	start := time.Now()
-	proc.Run()
+	wl := ycsb.NewWorkload(ycsb.WorkloadConfig{Seed: int64(*id)})
+	for i := 0; i < *txns; i++ {
+		sess.Submit(wl.Next(cid))
+	}
 	select {
 	case <-done:
 	case <-time.After(*timeout):
-		log.Fatalf("rccclient: deadline exceeded with %d/%d complete", count, *txns)
+		log.Fatalf("rccclient: deadline exceeded with %d/%d complete", len(sess.Machine().Completions()), *txns)
 	}
 	elapsed := time.Since(start)
-	proc.Stop()
+	sess.Stop()
 
+	mach := sess.Machine()
 	comps := mach.Completions()
 	lats := make([]time.Duration, 0, len(comps))
 	for _, c := range comps {

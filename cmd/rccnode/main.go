@@ -14,13 +14,11 @@ package main
 import (
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -28,44 +26,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/crypto"
-	"repro/internal/crypto/digestcache"
+	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
-	"repro/internal/quorum"
-	"repro/internal/runtime"
-	"repro/internal/transport"
 	"repro/internal/types"
 	"repro/internal/wal"
 	"repro/internal/ycsb"
 )
-
-func parsePeers(s string) (map[types.ReplicaID]string, error) {
-	peers := make(map[types.ReplicaID]string)
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad peer %q (want id=host:port)", part)
-		}
-		id, err := strconv.Atoi(kv[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad peer id %q: %v", kv[0], err)
-		}
-		peers[types.ReplicaID(id)] = kv[1]
-	}
-	return peers, nil
-}
-
-// buildAuth resolves the -auth / -auth-secret flags into an authenticator.
-func buildAuth(schemeArg, secret string, party uint32) (crypto.Authenticator, error) {
-	scheme, err := crypto.ParseScheme(schemeArg)
-	if err != nil {
-		return nil, err
-	}
-	if scheme == crypto.SchemeNone {
-		return nil, nil
-	}
-	return crypto.NewAuth(scheme, party, []byte(secret))
-}
 
 // runTimeline is the post-mortem scrape mode: each comma-separated entry is
 // either an admin address (its /debug/events ring is fetched live) or a path
@@ -115,27 +82,15 @@ func main() {
 		window   = flag.Int("window", 4, "out-of-order proposal window")
 		records  = flag.Int("records", ycsb.DefaultRecords, "YCSB table records")
 		authArg  = flag.String("auth", "", "frame authentication scheme: none, mac (pairwise HMAC), ds (ED25519 dev keyring); default none")
-		authKey  = flag.String("auth-secret", "", "shared deployment secret: MAC pair keys or the ds dev-keyring seed derive from it")
-		verifyW  = flag.Int("verify-workers", 0, "inbound verification worker pool size (0 = scheme default: pooled for ds, inline for mac; negative = force inline)")
-		digCache = flag.Int("digest-cache", 0, "verified client-request digest cache entries, shared across instances (0 off)")
+		authKey  = flag.String("auth-secret", "", "shared deployment secret: MAC pair keys, the ds dev-keyring seed, and the checkpoint-attestation threshold key derive from it")
 		statsSec = flag.Int("stats", 10, "stats print interval in seconds (0 off)")
-		dataDir  = flag.String("data-dir", "", "durable storage directory: journal decided blocks through a WAL and resume from it on restart")
+		dataDir  = flag.String("data-dir", "", "durable storage directory: journal decided blocks through a WAL, resume from it on restart, and fetch the attested cluster head from peers (state transfer) when wiped or behind")
 		syncMode = flag.String("sync", "group", "WAL durability with -data-dir: group (in-flight blocks share one fsync), always (one fsync per block), none (flush to the OS, no fsync); client acks always wait for the block's commit point")
 		snapEach = flag.Uint64("snapshot-every", 1024, "persist an application checkpoint every N blocks with -data-dir (0 off)")
 		walPrune = flag.Bool("wal-prune", false, "with -data-dir and -snapshot-every: reclaim WAL segments below each persisted checkpoint; restart replays from the pinned checkpoint instead of genesis")
-		jnlQueue = flag.Int("journal-queue", 0, "journal: max blocks executed but not yet durable before execution back-pressures (0 = default 1024)")
-		jnlBatch = flag.Int64("journal-batch-bytes", 0, "journal: max WAL bytes per fsync batch (0 = default 8 MiB)")
-		sendQ    = flag.Int("send-queue", 0, "per-peer outbound queue depth: messages buffered per replica link before backpressure (0 = default 4096)")
-		clientQ  = flag.Int("client-queue", 0, "per-client reply queue depth: replies buffered per client link before dropping (0 = default 1024)")
-		sendB    = flag.Int("send-batch-bytes", 0, "max encoded bytes coalesced into one multi-message frame per write syscall (0 = default 128 KiB)")
-		stateSyn = flag.Bool("state-sync", true, "with -data-dir: serve checkpoints to lagging peers and, when this replica is behind (wiped disk, long partition), fetch the f+1-attested snapshot + ledger suffix and rejoin at the cluster head")
-		chunkB   = flag.Int("snapshot-chunk-bytes", 0, "state sync: snapshot chunk size served to peers (0 = default 256 KiB)")
-		syncSrc  = flag.Int("state-sync-source", -1, "state sync: preferred transfer source replica ID (-1 = automatic; the fetcher still rotates away on failure)")
 		adminArg = flag.String("admin-addr", "", "admin HTTP listener serving /metrics (Prometheus), /healthz, /readyz, /debug/events (flight ring), and /debug/pprof (empty = off)")
 		traceN   = flag.Int("trace-sample", 64, "lifecycle tracing: record 1 in N transactions' lifecycle stamps (txn_arrive ... txn_ack) into the flight ring served at /debug/events (1 = all, negative = off)")
 		flightN  = flag.Int("flight-buf", 8192, "flight recorder: ring capacity in events, shared by protocol events and sampled transaction lifecycles (negative = off, and no lifecycle tracing)")
-		stallThr = flag.Duration("stall-threshold", 0, "flight recorder: event-loop stall watchdog threshold (0 = default 500ms, negative = off)")
-		mirrorIv = flag.Duration("flight-mirror", 0, "flight recorder: crash-safe mirror period for <data-dir>/flight.bin (0 = default 2s, negative = off)")
 		timeline = flag.String("timeline", "", "scrape mode: comma-separated admin addresses and/or flight.bin paths; fetch every ring, merge into one causal cluster timeline on stdout, and exit")
 	)
 	flag.Parse()
@@ -147,38 +102,17 @@ func main() {
 		return
 	}
 
-	peers, err := parsePeers(*peersArg)
+	peers, err := core.ParsePeers(*peersArg)
 	if err != nil {
 		log.Fatalf("rccnode: %v", err)
 	}
 	if *listen == "" {
 		*listen = peers[types.ReplicaID(*id)]
 	}
-	params, err := quorum.NewParams(*n)
+	scheme, err := crypto.ParseScheme(*authArg)
 	if err != nil {
 		log.Fatalf("rccnode: %v", err)
 	}
-
-	// The instrument catalog exists only when the admin listener will
-	// serve it: a nil *obs.NodeMetrics is the library's no-op sink, so
-	// every instrumented path degrades to a nil-check.
-	var metrics *obs.NodeMetrics
-	if *adminArg != "" {
-		metrics = obs.NewNodeMetrics(obs.NewRegistry(), *flightN, *traceN)
-	}
-
-	opts := core.Options{
-		N:         *n,
-		Protocol:  core.Protocol(*protoArg),
-		BatchSize: *batch,
-		Window:    *window,
-		Metrics:   metrics,
-	}
-	machine, err := core.BuildMachine(&opts)
-	if err != nil {
-		log.Fatalf("rccnode: %v", err)
-	}
-
 	var durability wal.SyncPolicy
 	switch *syncMode {
 	case "group":
@@ -191,39 +125,31 @@ func main() {
 		log.Fatalf("rccnode: unknown -sync mode %q (want group, always, or none)", *syncMode)
 	}
 
-	source := types.NoReplica
-	if *syncSrc >= 0 {
-		source = types.ReplicaID(*syncSrc)
+	// The instrument catalog exists only when the admin listener will
+	// serve it: a nil *obs.NodeMetrics is the library's no-op sink, so
+	// every instrumented path degrades to a nil-check.
+	var metrics *obs.NodeMetrics
+	if *adminArg != "" {
+		metrics = obs.NewNodeMetrics(obs.NewRegistry(), *flightN, *traceN)
 	}
-	rep, err := runtime.New(runtime.Config{
-		ID:      types.ReplicaID(*id),
-		Params:  params,
-		Machine: machine,
-		App:     ycsb.NewStore(*records),
-		Journal: true,
-		DataDir: *dataDir,
-		Journaling: runtime.JournalOptions{
-			Sync:          durability,
-			QueueDepth:    *jnlQueue,
-			MaxBatchBytes: *jnlBatch,
-			SnapshotEvery: *snapEach,
-			PruneWAL:      *walPrune,
-		},
-		StateSync: runtime.StateSyncOptions{
-			Enabled:    *stateSyn && *dataDir != "",
-			ChunkBytes: *chunkB,
-			Source:     source,
-		},
-		Flight: runtime.FlightOptions{
-			StallThreshold: *stallThr,
-			MirrorInterval: *mirrorIv,
-		},
-		ReplyToClients: true,
-		Logf:           log.Printf,
-		Metrics:        metrics,
-	})
+
+	rep, err := core.NewReplica(core.Options{
+		N:             *n,
+		Protocol:      core.Protocol(*protoArg),
+		BatchSize:     *batch,
+		Window:        *window,
+		App:           func() exec.Application { return ycsb.NewStore(*records) },
+		DataDir:       *dataDir,
+		Durability:    durability,
+		SnapshotEvery: *snapEach,
+		PruneWAL:      *walPrune,
+		Auth:          scheme,
+		Secret:        *authKey,
+		Metrics:       metrics,
+		Logf:          log.Printf,
+	}, types.ReplicaID(*id), *listen)
 	if err != nil {
-		log.Fatalf("rccnode: opening durable state: %v", err)
+		log.Fatalf("rccnode: %v", err)
 	}
 	if *dataDir != "" {
 		if h := rep.Ledger().Height(); h > 0 {
@@ -233,33 +159,8 @@ func main() {
 			log.Printf("rccnode: fresh durable state in %s", *dataDir)
 		}
 	}
-
-	auth, err := buildAuth(*authArg, *authKey, crypto.PartyID(types.ReplicaID(*id)))
-	if err != nil {
-		log.Fatalf("rccnode: %v", err)
-	}
-	tcpCfg := transport.TCPConfig{
-		Self:             types.ReplicaID(*id),
-		Listen:           *listen,
-		Peers:            peers,
-		Auth:             auth,
-		QueueDepth:       *sendQ,
-		ClientQueueDepth: *clientQ,
-		MaxBatchBytes:    *sendB,
-		VerifyWorkers:    *verifyW,
-	}
-	if *digCache > 0 {
-		tcpCfg.DigestCache = digestcache.New(*digCache)
-	}
-	if metrics != nil {
-		tcpCfg.VerifyObserve = func(d time.Duration) { metrics.ObserveStage(obs.StageVerify, d) }
-		tcpCfg.Flight = metrics.Flight
-	}
-	tcp, err := transport.NewTCP(tcpCfg, rep)
-	if err != nil {
-		log.Fatalf("rccnode: %v", err)
-	}
-	rep.Attach(tcp)
+	tcp := rep.TCP
+	tcp.SetPeers(peers)
 	rep.Run()
 	log.Printf("rccnode: replica %d/%d (%s) listening on %s", *id, *n, *protoArg, tcp.Addr())
 

@@ -2,7 +2,9 @@
 // Concurrent Consensus for High-Throughput Secure Transaction Processing"
 // (Gupta, Hellings, Sadoghi — ICDE 2021).
 //
-// The public API lives in internal/core (cluster assembly), the paradigm in
+// The public API lives in internal/core (the one builder every replica and
+// client the repository boots goes through: NewReplica, Connect, and the
+// loopback-TCP Cluster), the paradigm in
 // internal/rcc, the baseline protocols in internal/{pbft,zyzzyva,sbft,
 // hotstuff,mirbft}, and the experiment harness in internal/bench plus
 // cmd/rccbench. See README.md for the package tour, the subsystem
@@ -24,11 +26,11 @@
 //
 // Pipelined durability: the fsync never runs on the consensus event loop.
 // Every executed block is handed to the WAL's background committer over a
-// bounded in-flight queue (-journal-queue), and the client replies for a
+// bounded in-flight queue, and the client replies for a
 // block wait for its WAL record to be reported durable. The sync policy
 // (-sync) decides what one commit point covers: group (the default) lets
-// many in-flight blocks share one fsync (-journal-batch-bytes caps the
-// batch; BenchmarkAsyncJournal reports records/fsync), always gives every
+// many in-flight blocks share one fsync (BenchmarkAsyncJournal reports
+// records/fsync), always gives every
 // block its own fsync, and none is flush-only (process-crash-safe, not
 // power-loss-safe). Under an fsyncing policy an acknowledged transaction
 // survives any crash. When the queue fills, execution back-pressures;
@@ -48,19 +50,18 @@
 // so one stalled client or peer can never delay anyone else — client
 // acks ride these per-client queues straight off the WAL committer.
 // Connections open with a wire-version handshake and refuse mismatched
-// peers, the network twin of store.ErrDataDirMismatch. rccnode/rccclient
-// expose -send-queue, -client-queue, and -send-batch-bytes;
-// BenchmarkBroadcast and BenchmarkCodec measure the win (enqueue-only
+// peers, the network twin of store.ErrDataDirMismatch. Queue depths and
+// frame caps are fixed defaults (transport.TCPConfig); BenchmarkBroadcast and BenchmarkCodec measure the win (enqueue-only
 // vote broadcast is >10x the old inline gob+write path) and CI gates it.
 //
 // State-transfer subsystem: a replica whose disk no longer reaches the
 // cluster — wiped, corrupted, or partitioned past what in-protocol
 // checkpoint catch-up (§III-C/§III-D) can bridge — heals itself through
-// internal/statesync (rccnode -state-sync, on by default with -data-dir).
+// internal/statesync (on whenever a data directory is set).
 // It probes its peers, trusts only a target that f+1 distinct replicas
 // attest with byte-identical offers (snapshot digests, ledger head, and
 // the consensus machine's serialized frontier, sm.StateSyncable), fetches
-// the snapshot in bounded chunks (-snapshot-chunk-bytes) plus the ledger
+// the snapshot in bounded chunks plus the ledger
 // suffix in block ranges, and verifies everything against the attested
 // digests: reassembled chunks must hash to the attested state digest,
 // blocks must chain hash-to-hash from the attested anchor to the attested
@@ -100,13 +101,10 @@
 // ED25519 dev keyring from one shared secret, so rccnode/rccclient key a
 // whole cluster with -auth none|mac|ds plus -auth-secret (production keys
 // plug into NewDS/KeyRing). With signatures, inbound verification runs on
-// a bounded worker pool in internal/transport (-verify-workers) that
-// batch-verifies each frame's records through one BatchVerifier (bisection
-// isolates forged records) while preserving exact per-link delivery order;
-// a sharded cache of verified client-request digests (-digest-cache,
-// internal/crypto/digestcache) lets any of RCC's m concurrent instances
-// skip re-verifying a retransmitted request another instance already
-// checked, and links exceeding consecutive bad tags are demoted
+// a bounded worker pool in internal/transport that batch-verifies each
+// frame's records through one BatchVerifier (bisection isolates forged
+// records) while preserving exact per-link delivery order, and links
+// exceeding consecutive bad tags are demoted
 // (reconnect, counted). The verify stage reports into
 // rcc_stage_latency_seconds{stage="verify"}; rccbench -exp crypto measures
 // the live none/mac/ds cost on a real loopback cluster, and a determinism
@@ -134,11 +132,11 @@
 // phase transitions and offer rejections with causes, loop_stalled from
 // the event-loop watchdog, and the txn_arrive ... txn_ack lifecycle stamps
 // of sampled transactions). Dumps are cursor-based (?since=, text or
-// binary), mirror crash-safely to <data-dir>/flight.bin (-flight-mirror,
-// plus immediately on durability poison), and merge across replicas into
+// binary), mirror crash-safely to <data-dir>/flight.bin (every 2s, plus
+// immediately on durability poison), and merge across replicas into
 // one causally ordered cluster timeline with anomaly highlighting:
 // rccnode -timeline <admin-addr|flight.bin>[,...]. rccbench -exp timeline
-// rehearses the workflow in-process; see the README's "Flight recorder &
+// rehearses the workflow in one process over loopback TCP; see the README's "Flight recorder &
 // cluster timeline" section for the event catalog, the cursor contract,
 // and a worked stuck-wave diagnosis.
 //

@@ -15,11 +15,11 @@ import (
 
 func main() {
 	// Assemble n=4 replicas running RCC over PBFT (the paper's RCC-P):
-	// every replica is the primary of one concurrent consensus instance.
+	// every replica is the primary of one concurrent consensus instance,
+	// and every replica journals its decided blocks.
 	cluster, err := core.NewCluster(core.Options{
 		N:        4,
 		Protocol: core.RCC,
-		Journal:  true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/crypto"
-	"repro/internal/crypto/digestcache"
-	"repro/internal/quorum"
-	"repro/internal/rcc"
-	"repro/internal/runtime"
 	"repro/internal/transport"
 	"repro/internal/types"
 	"repro/internal/ycsb"
@@ -20,7 +16,7 @@ import (
 // rather than through the flow model's CPU-cost constants. It runs the same
 // closed-loop YCSB workload under each scheme of Fig. 7 (right): no
 // authentication, cached pairwise HMACs, and ED25519 dev-keyring signatures
-// with the verify worker pool and the verified-digest cache active. The
+// with the verify worker pool active. The
 // relative column is the live counterpart of the paper's DS ≈ -86% /
 // MAC ≈ -33% simulation (absolute ratios differ: loopback TCP has no WAN
 // latency, and ED25519 differs from the paper's RSA/CMAC primitives).
@@ -29,7 +25,7 @@ func LiveCrypto() (*Table, error) {
 		ID:    "crypto",
 		Title: "live authentication cost (4 RCC replicas, loopback TCP, 2 closed-loop clients)",
 		Header: []string{"auth", "txns", "elapsed-s", "txn/s", "vs-none",
-			"pooled-frames", "digest-hit-rate"},
+			"pooled-frames"},
 	}
 	var baseline float64
 	for _, scheme := range []crypto.Scheme{crypto.SchemeNone, crypto.SchemeMAC, crypto.SchemeDS} {
@@ -43,10 +39,6 @@ func LiveCrypto() (*Table, error) {
 		} else if baseline > 0 {
 			rel = fmt.Sprintf("%+.0f%%", (rate/baseline-1)*100)
 		}
-		hitRate := "-"
-		if lookups := stats.DigestHits + stats.DigestMisses; lookups > 0 {
-			hitRate = fmt.Sprintf("%.0f%%", float64(stats.DigestHits)/float64(lookups)*100)
-		}
 		t.Rows = append(t.Rows, []string{
 			scheme.String(),
 			fmt.Sprintf("%d", txns),
@@ -54,7 +46,6 @@ func LiveCrypto() (*Table, error) {
 			fmt.Sprintf("%.0f", rate),
 			rel,
 			fmt.Sprintf("%d", stats.VerifiedFrames),
-			hitRate,
 		})
 	}
 	return t, nil
@@ -71,86 +62,36 @@ func runLiveCrypto(scheme crypto.Scheme) (rate float64, txns int, elapsed time.D
 		secretSeed = "live-crypto-bench"
 	)
 	txns = clients * perClient
-	params, err := quorum.NewParams(n)
+	opts := core.Options{
+		N: n, BatchSize: 1, Window: 8, ProgressTimeout: 30 * time.Second,
+		Auth: scheme, Secret: secretSeed,
+	}
+	cluster, err := core.NewCluster(opts)
 	if err != nil {
 		return 0, 0, 0, stats, err
 	}
+	defer cluster.Stop()
+	cluster.Start()
 
-	reps := make([]*runtime.Replica, n)
-	tcps := make([]*transport.TCP, n)
-	peers := make(map[types.ReplicaID]string)
-	defer func() {
-		for _, r := range reps {
-			if r != nil {
-				r.Stop()
-			}
-		}
-	}()
-	for i := 0; i < n; i++ {
-		id := types.ReplicaID(i)
-		reps[i], err = runtime.New(runtime.Config{
-			ID:     id,
-			Params: params,
-			Machine: rcc.New(rcc.Config{
-				BatchSize: 1, Window: 8, ProgressTimeout: 30 * time.Second,
-			}),
-			App:            ycsb.NewStore(ycsb.DefaultRecords),
-			Journal:        true,
-			ReplyToClients: true,
-		})
-		if err != nil {
-			return 0, 0, 0, stats, err
-		}
-		auth, aerr := crypto.NewAuth(scheme, crypto.PartyID(id), []byte(secretSeed))
-		if aerr != nil {
-			return 0, 0, 0, stats, aerr
-		}
-		cfg := transport.TCPConfig{Self: id, Listen: "127.0.0.1:0", Auth: auth}
-		if scheme == crypto.SchemeDS {
-			cfg.DigestCache = digestcache.New(digestcache.DefaultEntries)
-		}
-		tcps[i], err = transport.NewTCP(cfg, reps[i])
-		if err != nil {
-			return 0, 0, 0, stats, err
-		}
-		peers[id] = tcps[i].Addr()
-	}
-	for i := 0; i < n; i++ {
-		tcps[i].SetPeers(peers)
-		reps[i].Attach(tcps[i])
-		reps[i].Run()
-	}
-
-	machs := make([]*client.Client, clients)
+	sessions := make([]*core.Session, clients)
 	start := time.Now()
-	for c := 0; c < clients; c++ {
+	for c := range sessions {
 		cid := types.ClientID(c + 1)
-		mach := client.New(client.Config{Client: cid, Broadcast: true, RetryTimeout: 2 * time.Second})
-		mach.SetWindow(8)
+		s, err := core.Connect(opts, cid, cluster.Peers(), 8, nil)
+		if err != nil {
+			return 0, 0, 0, stats, err
+		}
+		defer s.Stop()
 		wl := ycsb.NewWorkload(ycsb.WorkloadConfig{Seed: int64(cid)})
 		for i := 0; i < perClient; i++ {
-			mach.Submit(wl.Next(cid))
+			s.Submit(wl.Next(cid))
 		}
-		proc := runtime.NewClient(cid, params, mach)
-		auth, aerr := crypto.NewAuth(scheme, crypto.ClientPartyID(cid), []byte(secretSeed))
-		if aerr != nil {
-			return 0, 0, 0, stats, aerr
-		}
-		ctcp, terr := transport.NewTCP(transport.TCPConfig{
-			IsClient: true, SelfClient: cid, Peers: peers, Auth: auth,
-		}, proc)
-		if terr != nil {
-			return 0, 0, 0, stats, terr
-		}
-		proc.Attach(ctcp)
-		proc.Run()
-		defer proc.Stop()
-		machs[c] = mach
+		sessions[c] = s
 	}
 
 	err = waitUntil(120*time.Second, func() bool {
-		for _, m := range machs {
-			if len(m.Completions()) < perClient {
+		for _, s := range sessions {
+			if len(s.Machine().Completions()) < perClient {
 				return false
 			}
 		}
@@ -160,6 +101,6 @@ func runLiveCrypto(scheme crypto.Scheme) (rate float64, txns int, elapsed time.D
 	if err != nil {
 		return 0, 0, 0, stats, fmt.Errorf("workload incomplete: %w", err)
 	}
-	stats = tcps[0].Stats()
+	stats = cluster.Replica(0).TCP.Stats()
 	return float64(txns) / elapsed.Seconds(), txns, elapsed, stats, nil
 }

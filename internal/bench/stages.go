@@ -74,7 +74,7 @@ func Stages() (*Table, error) {
 
 	t := &Table{
 		ID:     "stages",
-		Title:  "per-stage latency breakdown (RCC n=4, pipelined journal, in-process transport)",
+		Title:  "per-stage latency breakdown (RCC n=4, pipelined journal, loopback TCP)",
 		Header: []string{"stage", "count", "p50-ms", "p95-ms", "p99-ms", "max-ms"},
 	}
 	ms := func(d time.Duration) string { return fmt.Sprintf("%.3f", float64(d)/1e6) }

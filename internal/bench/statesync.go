@@ -3,14 +3,10 @@ package bench
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
-	"repro/internal/client"
-	"repro/internal/pbft"
-	"repro/internal/quorum"
-	"repro/internal/runtime"
-	"repro/internal/transport"
+	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/types"
 	"repro/internal/ycsb"
 )
@@ -24,7 +20,7 @@ import (
 func StateSync() (*Table, error) {
 	t := &Table{
 		ID:    "statesync",
-		Title: "checkpoint-based catch-up: transfer throughput (4 replicas, in-process transport)",
+		Title: "checkpoint-based catch-up: transfer throughput (4 replicas, loopback TCP)",
 		Header: []string{"scenario", "records", "height", "snapshot-MB", "blocks-fetched",
 			"transfer-s", "MB/s", "blocks/s"},
 	}
@@ -59,68 +55,54 @@ func runStateSyncScenario(name string, records, blocks int, snapEvery uint64, wi
 	defer os.RemoveAll(base)
 
 	const n = 4
-	params, err := quorum.NewParams(n)
-	if err != nil {
-		return nil, err
+	opts := core.Options{
+		N: n, Protocol: core.PBFT, BatchSize: 1, Window: 16, ProgressTimeout: 30 * time.Second,
+		App:           func() exec.Application { return ycsb.NewStore(records) },
+		SnapshotEvery: snapEvery,
 	}
-	hub := transport.NewMemory()
-	mkReplica := func(id types.ReplicaID) (*runtime.Replica, error) {
-		rep, err := runtime.New(runtime.Config{
-			ID:     id,
-			Params: params,
-			Machine: pbft.New(pbft.Config{
-				BatchSize: 1, Window: 16, ProgressTimeout: 30 * time.Second,
-			}),
-			App:     ycsb.NewStore(records),
-			DataDir: filepath.Join(base, fmt.Sprintf("replica-%d", id)),
-			Journaling: runtime.JournalOptions{
-				SnapshotEvery: snapEvery,
-			},
-			ReplyToClients: true,
-			StateSync: runtime.StateSyncOptions{
-				Enabled:     true,
-				OfferWait:   100 * time.Millisecond,
-				Retry:       200 * time.Millisecond,
-				SteadyProbe: 300 * time.Millisecond,
-			},
-		})
+	peers := make(map[types.ReplicaID]string, n)
+	mkReplica := func(id types.ReplicaID, listen string) (*core.Replica, error) {
+		o := opts
+		o.DataDir = core.ReplicaDir(base, int(id))
+		rep, err := core.NewReplica(o, id, listen)
 		if err != nil {
 			return nil, err
 		}
-		rep.Attach(hub.AttachReplica(id, rep))
-		rep.Run()
+		peers[id] = rep.TCP.Addr()
 		return rep, nil
 	}
 
-	reps := make([]*runtime.Replica, n)
-	for i := 0; i < n; i++ {
-		if reps[i], err = mkReplica(types.ReplicaID(i)); err != nil {
-			return nil, err
-		}
-	}
-	stopAll := func() {
-		for i, r := range reps {
+	reps := make([]*core.Replica, n)
+	defer func() {
+		for _, r := range reps {
 			if r != nil {
-				hub.Detach(types.ReplicaID(i))
 				r.Stop()
 			}
 		}
+	}()
+	for i := range reps {
+		if reps[i], err = mkReplica(types.ReplicaID(i), "127.0.0.1:0"); err != nil {
+			return nil, err
+		}
 	}
-	defer stopAll()
+	for _, r := range reps {
+		r.TCP.SetPeers(peers)
+		r.Run()
+	}
 
 	drive := func(cid types.ClientID, txns int) error {
-		mach := client.New(client.Config{Client: cid, Broadcast: true, RetryTimeout: time.Second})
+		s, err := core.Connect(opts, cid, peers, 1, nil)
+		if err != nil {
+			return err
+		}
+		defer s.Stop()
 		wl := ycsb.NewWorkload(ycsb.WorkloadConfig{Records: records, Seed: int64(cid)})
 		for i := 0; i < txns; i++ {
-			mach.Submit(wl.Next(cid))
+			s.Submit(wl.Next(cid))
 		}
-		proc := runtime.NewClient(cid, params, mach)
-		proc.Attach(hub.AttachClient(cid, proc))
-		proc.Run()
-		defer proc.Stop()
-		return waitUntil(30*time.Second, func() bool { return len(mach.Completions()) == txns })
+		return waitUntil(30*time.Second, func() bool { return len(s.Machine().Completions()) == txns })
 	}
-	waitHeight := func(r *runtime.Replica, h uint64) error {
+	waitHeight := func(r *core.Replica, h uint64) error {
 		return waitUntil(30*time.Second, func() bool { return r.Ledger().Height() == h })
 	}
 
@@ -134,12 +116,11 @@ func runStateSyncScenario(name string, records, blocks int, snapEvery uint64, wi
 	}
 
 	// Take replica 3 down; wipe it or let it lag behind a second burst.
-	hub.Detach(3)
 	reps[3].Stop()
 	reps[3] = nil
 	target := uint64(blocks)
 	if wipe {
-		if err := os.RemoveAll(filepath.Join(base, "replica-3")); err != nil {
+		if err := os.RemoveAll(core.ReplicaDir(base, 3)); err != nil {
 			return nil, err
 		}
 	} else {
@@ -154,10 +135,12 @@ func runStateSyncScenario(name string, records, blocks int, snapEvery uint64, wi
 		}
 	}
 
-	rep3, err := mkReplica(3)
+	rep3, err := mkReplica(3, peers[3])
 	if err != nil {
 		return nil, err
 	}
+	rep3.TCP.SetPeers(peers)
+	rep3.Run()
 	reps[3] = rep3
 	if err := waitUntil(60*time.Second, func() bool {
 		return rep3.Ledger().Height() == target && rep3.StateSync().Synced()

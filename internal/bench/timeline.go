@@ -16,8 +16,8 @@ import (
 // — healthy load, then one replica crashed mid-load while the cluster
 // decides on without it — and reports what the flight recorder captured:
 // the merged causal timeline's event counts by kind and the anomaly
-// highlights the merge layer raised. It is the in-process rehearsal of the
-// production workflow (scrape /debug/events from every replica, merge,
+// highlights the merge layer raised. It is the single-process rehearsal,
+// over loopback TCP, of the production workflow (scrape /debug/events from every replica, merge,
 // read the highlights).
 func Timeline() (*Table, error) {
 	const (
@@ -69,7 +69,7 @@ func Timeline() (*Table, error) {
 		return nil, err
 	}
 
-	// The in-process cluster shares one catalog, so one dump carries every
+	// The cluster's replicas share one catalog, so one dump carries every
 	// replica's events; Merge aligns and orders them all the same.
 	tl := flight.Merge([]flight.Snapshot{met.Flight.Dump(0)})
 	anoms := flight.DetectAnomalies(tl)

@@ -92,7 +92,7 @@ func Run(cfg Config) (*Report, error) {
 		sched = *cfg.Schedule
 	}
 	rep := &Report{
-		Seed: cfg.Seed, Nodes: cfg.Nodes, Clients: cfg.Clients,
+		Seed: cfg.Seed, Nodes: cfg.Nodes, Clients: cfg.Nodes,
 		Duration: cfg.Duration, Schedule: sched,
 	}
 

@@ -3,18 +3,16 @@ package chaos
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/crypto"
+	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
-	"repro/internal/quorum"
-	"repro/internal/rcc"
-	"repro/internal/runtime"
 	"repro/internal/simnet"
 	"repro/internal/statesync"
 	"repro/internal/transport"
@@ -23,22 +21,33 @@ import (
 	"repro/internal/ycsb"
 )
 
+// The load and cluster shape every chaos run uses. One closed-loop client
+// per node keeps window transactions in flight against a YCSB store of
+// records records.
+const (
+	window  = 4
+	records = 1000
+	// batchSize 2 and snapshotEvery 8 keep heights churning, which is
+	// what stresses checkpoints, pruning, and state transfer.
+	batchSize     = 2
+	snapshotEvery = 8
+	// progressTimeout is longer than transient scheduling noise and much
+	// shorter than an episode, so in-the-dark instances are detected
+	// mid-run.
+	progressTimeout = 2 * time.Second
+	// secret keys the transport MACs and the checkpoint attestation.
+	secret = "chaos"
+	// retryTimeout and flightMirror keep clients retransmitting, and every
+	// incarnation mirroring its flight ring, twice a second. The run's
+	// timing is sensitive to both: see ROADMAP 2(e).
+	retryTimeout = 500 * time.Millisecond
+	flightMirror = 500 * time.Millisecond
+)
+
 // Config parameterizes one chaos run.
 type Config struct {
 	// Nodes is the cluster size (default 4).
 	Nodes int
-	// Clients is the number of closed-loop clients (default Nodes).
-	Clients int
-	// Window is each client's pipeline depth (default 4).
-	Window int
-	// Records sizes the YCSB store (default 1000).
-	Records int
-	// BatchSize groups transactions per proposal (default 2 — small
-	// batches keep heights churning, which is what stresses checkpoints,
-	// pruning, and state transfer).
-	BatchSize int
-	// SnapshotEvery is the checkpoint cadence in blocks (default 8).
-	SnapshotEvery uint64
 	// Duration is the full run length including warmup and settle
 	// (default 60s).
 	Duration time.Duration
@@ -50,27 +59,12 @@ type Config struct {
 	// transport, so faults land on links that already carry tens of
 	// milliseconds.
 	WAN bool
-	// Secret keys both the transport MACs and the checkpoint-attestation
-	// threshold scheme (default "chaos").
-	Secret string
-	// RequireAttestedRejoin fails the run unless at least one state
-	// transfer locked its target through a checkpoint-boundary
-	// attestation (the under-load rejoin path). Off, the condition is
-	// reported but not enforced — short smoke runs may legitimately heal
-	// through the byte-identical offer path alone.
-	RequireAttestedRejoin bool
 	// ArtifactDir, when set, receives flight dumps and the merged cluster
 	// timeline of a failed run.
 	ArtifactDir string
 	// Schedule overrides the generated schedule (Seed is then only
 	// reported, not used).
 	Schedule *Schedule
-	// ProgressTimeout is the per-instance failure-detection timeout
-	// (default 2s: longer than transient scheduling noise, much shorter
-	// than an episode, so in-the-dark instances are detected mid-run).
-	ProgressTimeout time.Duration
-	// RetryTimeout is the clients' retransmission timeout (default 500ms).
-	RetryTimeout time.Duration
 	// Logf, when set, receives harness progress lines.
 	Logf func(format string, args ...any)
 }
@@ -79,32 +73,8 @@ func (c *Config) defaults() {
 	if c.Nodes < 4 {
 		c.Nodes = 4
 	}
-	if c.Clients <= 0 {
-		c.Clients = c.Nodes
-	}
-	if c.Window <= 0 {
-		c.Window = 4
-	}
-	if c.Records <= 0 {
-		c.Records = 1000
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 2
-	}
-	if c.SnapshotEvery == 0 {
-		c.SnapshotEvery = 8
-	}
 	if c.Duration <= 0 {
 		c.Duration = 60 * time.Second
-	}
-	if c.Secret == "" {
-		c.Secret = "chaos"
-	}
-	if c.ProgressTimeout <= 0 {
-		c.ProgressTimeout = 2 * time.Second
-	}
-	if c.RetryTimeout <= 0 {
-		c.RetryTimeout = 500 * time.Millisecond
 	}
 }
 
@@ -122,8 +92,7 @@ type node struct {
 	fp   *wal.Failpoints
 
 	mu  sync.Mutex
-	rep *runtime.Replica
-	tcp *transport.TCP
+	rep *core.Replica
 	met *obs.NodeMetrics
 	up  bool
 
@@ -137,9 +106,8 @@ type node struct {
 // Cluster is a live TCP deployment under the harness's control.
 type Cluster struct {
 	cfg    Config
-	params quorum.Params
+	opts   core.Options // every node's deployment, less its dir, disk faults and metrics
 	faults *transport.Faults
-	attest *crypto.ThresholdScheme
 	base   string
 	nodes  []*node
 
@@ -150,8 +118,7 @@ type Cluster struct {
 
 type clientHandle struct {
 	id   types.ClientID
-	mach *client.Client
-	proc *runtime.ClientProc
+	sess *core.Session
 	wl   *ycsb.Workload
 
 	// submitted and completed track the closed loop from outside the
@@ -166,19 +133,29 @@ type clientHandle struct {
 // to begin load, Close to tear down.
 func NewCluster(cfg Config) (*Cluster, error) {
 	cfg.defaults()
-	params, err := quorum.NewParams(cfg.Nodes)
-	if err != nil {
-		return nil, err
-	}
 	base, err := os.MkdirTemp("", "rcc-chaos-")
 	if err != nil {
 		return nil, err
 	}
+	faults := transport.NewFaults()
 	c := &Cluster{
-		cfg:    cfg,
-		params: params,
-		faults: transport.NewFaults(),
-		attest: crypto.NewThresholdScheme(cfg.Nodes, params.F+1, []byte(cfg.Secret)),
+		cfg: cfg,
+		opts: core.Options{
+			N:               cfg.Nodes,
+			BatchSize:       batchSize,
+			Window:          8,
+			ProgressTimeout: progressTimeout,
+			App:             func() exec.Application { return ycsb.NewStore(records) },
+			SnapshotEvery:   snapshotEvery,
+			PruneWAL:        true,
+			Auth:            crypto.SchemeMAC,
+			Secret:          secret,
+			Logf:            cfg.Logf,
+			RetryTimeout:    retryTimeout,
+			FlightMirror:    flightMirror,
+			Faults:          faults,
+		},
+		faults: faults,
 		base:   base,
 	}
 	if cfg.WAN {
@@ -192,7 +169,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	for i := range c.nodes {
 		c.nodes[i] = &node{
 			id:  types.ReplicaID(i),
-			dir: filepath.Join(base, fmt.Sprintf("replica-%d", i)),
+			dir: core.ReplicaDir(base, i),
 			fp:  &wal.Failpoints{},
 		}
 	}
@@ -205,7 +182,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	peers := c.peerMap()
 	for _, n := range c.nodes {
-		n.tcp.SetPeers(peers)
+		n.rep.TCP.SetPeers(peers)
 		n.rep.Run()
 		n.up = true
 	}
@@ -223,54 +200,17 @@ func (c *Cluster) peerMap() map[types.ReplicaID]string {
 
 // boot builds one incarnation of n: fresh metrics catalog and flight ring
 // (like a real process), durable store from whatever the data dir holds,
-// state transfer with checkpoint-boundary attestation, WAL pruning, and
-// the shared fault matrix on the transport. It does not Run the replica.
+// and the node's disk failpoints. It does not Run the replica.
 func (c *Cluster) boot(n *node, listen string) error {
 	met := obs.NewNodeMetrics(obs.NewRegistry(), 0, 2048)
-	rep, err := runtime.New(runtime.Config{
-		ID:     n.id,
-		Params: c.params,
-		Machine: rcc.New(rcc.Config{
-			BatchSize:       c.cfg.BatchSize,
-			Window:          8,
-			ProgressTimeout: c.cfg.ProgressTimeout,
-			Metrics:         met,
-		}),
-		App:     ycsb.NewStore(c.cfg.Records),
-		DataDir: n.dir,
-		Journaling: runtime.JournalOptions{
-			SnapshotEvery: c.cfg.SnapshotEvery,
-			PruneWAL:      true,
-			Failpoints:    n.fp,
-		},
-		ReplyToClients: true,
-		StateSync: runtime.StateSyncOptions{
-			Enabled:      true,
-			OfferWait:    150 * time.Millisecond,
-			Retry:        300 * time.Millisecond,
-			SteadyProbe:  500 * time.Millisecond,
-			AttestScheme: c.attest,
-		},
-		Flight:  runtime.FlightOptions{MirrorInterval: 500 * time.Millisecond},
-		Metrics: met,
-		Logf:    c.cfg.Logf,
-	})
+	o := c.opts
+	o.DataDir, o.Failpoints, o.Metrics = n.dir, n.fp, met
+	rep, err := core.NewReplica(o, n.id, listen)
 	if err != nil {
 		return fmt.Errorf("replica %d: %w", n.id, err)
 	}
-	tcp, err := transport.NewTCP(transport.TCPConfig{
-		Self:   n.id,
-		Listen: listen,
-		Auth:   crypto.NewMAC(crypto.PartyID(n.id), []byte(c.cfg.Secret)),
-		Faults: c.faults,
-		Flight: met.Flight,
-	}, rep)
-	if err != nil {
-		return fmt.Errorf("replica %d transport: %w", n.id, err)
-	}
-	rep.Attach(tcp)
-	n.rep, n.tcp, n.met = rep, tcp, met
-	n.addr = tcp.Addr()
+	n.rep, n.met = rep, met
+	n.addr = rep.TCP.Addr()
 	return nil
 }
 
@@ -336,7 +276,7 @@ func (c *Cluster) Restart(i int) error {
 	if err := c.boot(n, n.addr); err != nil {
 		return err
 	}
-	n.tcp.SetPeers(c.peerMap())
+	n.rep.TCP.SetPeers(c.peerMap())
 	n.rep.Run()
 	n.up = true
 	n.restarts++
@@ -384,21 +324,18 @@ func (c *Cluster) eachUp(f func(n *node)) {
 	}
 }
 
-// StartClients launches the closed-loop load: each client keeps Window
+// StartClients launches the closed-loop load: each client keeps window
 // transactions in flight, submitting a fresh one the moment one completes,
 // and reports every completion — an acked transaction — to mon.
 func (c *Cluster) StartClients(mon *monitor) {
 	peers := c.peerMap()
-	for i := 0; i < c.cfg.Clients; i++ {
+	for i := 0; i < c.cfg.Nodes; i++ {
 		id := types.ClientID(i + 1)
 		h := &clientHandle{
-			id:   id,
-			mach: client.New(client.Config{Client: id, Broadcast: true, RetryTimeout: c.cfg.RetryTimeout}),
-			wl:   ycsb.NewWorkload(ycsb.WorkloadConfig{Records: c.cfg.Records, Seed: int64(id)}),
+			id: id,
+			wl: ycsb.NewWorkload(ycsb.WorkloadConfig{Records: records, Seed: int64(id)}),
 		}
-		h.mach.SetWindow(c.cfg.Window)
-		h.proc = runtime.NewClient(id, c.params, h.mach)
-		h.mach.SetCompletionHook(func(comp client.Completion) {
+		sess, err := core.Connect(c.opts, id, peers, window, func(comp client.Completion) {
 			mon.acked(id, comp.Seq)
 			h.completed.Add(1)
 			c.clientMu.Lock()
@@ -406,25 +343,26 @@ func (c *Cluster) StartClients(mon *monitor) {
 			c.clientMu.Unlock()
 			if !stop {
 				// Refill the window from inside the client's own event
-				// loop; Submission is the local bridge for exactly this.
+				// loop.
 				h.submitted.Add(1)
-				h.proc.DeliverReplica(types.NoReplica, &client.Submission{Tx: h.wl.Next(id)})
+				h.sess.Submit(h.wl.Next(id))
 			}
 		})
-		for j := 0; j < c.cfg.Window; j++ {
-			h.submitted.Add(1)
-			h.mach.Submit(h.wl.Next(id))
-		}
-		tcp, err := transport.NewTCP(transport.TCPConfig{
-			IsClient: true, SelfClient: id, Peers: peers,
-			Auth: crypto.NewMAC(crypto.ClientPartyID(id), []byte(c.cfg.Secret)),
-		}, h.proc)
 		if err != nil {
-			c.cfg.logf("chaos: client %d transport: %v", id, err)
+			c.cfg.logf("chaos: client %d: %v", id, err)
 			continue
 		}
-		h.proc.Attach(tcp)
-		h.proc.Run()
+		h.sess = sess
+		// Draw the whole first window before submitting any of it: once
+		// one completes, the hook draws from the workload too.
+		first := make([]types.Transaction, window)
+		for j := range first {
+			first[j] = h.wl.Next(id)
+		}
+		h.submitted.Add(window)
+		for _, tx := range first {
+			sess.Submit(tx)
+		}
 		c.clients = append(c.clients, h)
 	}
 }
@@ -462,7 +400,7 @@ func (c *Cluster) DrainClients(d time.Duration) int {
 		if drained(h) {
 			n++
 		}
-		h.proc.Stop()
+		h.sess.Stop()
 	}
 	return n
 }
@@ -470,7 +408,7 @@ func (c *Cluster) DrainClients(d time.Duration) int {
 // Close tears everything down and removes the data directories.
 func (c *Cluster) Close() {
 	for _, h := range c.clients {
-		h.proc.Stop()
+		h.sess.Stop()
 	}
 	for _, n := range c.nodes {
 		n.mu.Lock()

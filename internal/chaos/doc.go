@@ -14,11 +14,12 @@
 //     rerunning the same seed; the generator never disturbs more than f
 //     nodes at once, keeping a live quorum by construction.
 //   - Cluster (cluster.go): node lifecycle over real loopback TCP. Every
-//     node is a full runtime.Replica — durable WAL, periodic checkpoints
-//     with WAL pruning, state transfer with checkpoint-boundary
-//     attestation, flight recorder — behind a transport.TCP that shares
-//     one transport.Faults matrix (partitions, per-link WAN delays) and
-//     one wal.Failpoints per node (fsync-error, torn-write).
+//     incarnation is assembled by core.NewReplica, the builder cmd/rccnode
+//     uses — durable WAL, periodic checkpoints with WAL pruning, state
+//     transfer with checkpoint-boundary attestation, flight recorder —
+//     with one transport.Faults matrix shared by all nodes (partitions,
+//     per-link WAN delays) and one wal.Failpoints per node (fsync-error,
+//     torn-write).
 //   - Monitor (monitor.go): accumulates every acknowledged transaction and
 //     every committed block the moment a live replica materializes it,
 //     cross-checking block identity across replicas while the run is still

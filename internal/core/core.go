@@ -1,7 +1,7 @@
-// Package core is the high-level public API of the RCC reproduction: it
-// assembles complete replicated deployments — consensus machines, execution
-// engine, blockchain ledger, transports, and clients — behind a handful of
-// calls.
+// Package core is the high-level public API of the RCC reproduction and the
+// one place that turns a deployment description into running processes:
+// consensus machines, execution engine, blockchain ledger, authenticated
+// TCP transports, and clients.
 //
 // Quickstart (see examples/quickstart):
 //
@@ -11,17 +11,24 @@
 //	cl := cluster.NewClient(1)
 //	res, _ := cl.Execute(op, time.Second)
 //
-// Every deployment runs the real protocol state machines (internal/rcc,
-// internal/pbft, ...) on the goroutine runtime (internal/runtime) over an
-// in-process transport; cmd/rccnode runs the same machinery over TCP.
+// Every replica the repository boots — a Cluster's, cmd/rccnode's, the
+// chaos harness's, the live benchmarks' — is assembled by NewReplica, and
+// every client session by Connect: the real protocol state machines
+// (internal/rcc, internal/pbft, ...) on the goroutine runtime
+// (internal/runtime) over TCP. A Cluster runs its replicas in this process
+// on loopback ports.
 package core
 
 import (
 	"fmt"
 	"path/filepath"
+	"strconv"
+	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/crypto"
 	"repro/internal/exec"
 	"repro/internal/hotstuff"
 	"repro/internal/ledger"
@@ -57,14 +64,27 @@ const (
 	MirBFT     Protocol = "mirbft"
 )
 
-// Options configures a cluster.
+// State-transfer timing of every assembled replica: how long a probe
+// gathers offers, how soon a failed pass retries, and how often a replica
+// that believes it is current re-probes its peers.
+const (
+	syncOfferWait   = 150 * time.Millisecond
+	syncRetry       = 300 * time.Millisecond
+	syncSteadyProbe = 500 * time.Millisecond
+)
+
+// connectWait is how long Connect waits for every replica to register a
+// client session.
+const connectWait = 2 * time.Second
+
+// Options describes a deployment. Every replica journals its decided
+// blocks; with DataDir set the journal is durable and state transfer with
+// checkpoint-boundary attestation is on.
 type Options struct {
 	// N is the number of replicas (n > 3f, so at least 4).
 	N int
 	// Protocol selects the consensus protocol (default RCC).
 	Protocol Protocol
-	// M is the number of concurrent instances for RCC/MirBFT (0 = n).
-	M int
 	// BatchSize groups client transactions per proposal (default 1 for
 	// interactive use; benchmarks use the paper's 100).
 	BatchSize int
@@ -76,33 +96,52 @@ type Options struct {
 	// App builds the per-replica application; nil selects a fresh YCSB
 	// store with the paper's 500k records.
 	App func() exec.Application
-	// Journal enables the per-replica blockchain ledger.
-	Journal bool
-	// DataDir enables durable storage (implies Journal): replica i
-	// journals its ledger through a write-ahead log under
-	// DataDir/replica-i and restores height and application state from
-	// there on construction, so a cluster rebuilt on the same DataDir
-	// resumes where the previous one stopped.
+	// DataDir enables durable storage and state transfer. NewReplica
+	// journals through a write-ahead log in DataDir itself; NewCluster
+	// gives replica i the directory ReplicaDir(DataDir, i). A replica
+	// restores height and application state from its directory on
+	// construction, so one rebuilt on the same DataDir resumes where the
+	// previous one stopped, and a wiped or lagging one fetches the
+	// f+1-attested snapshot plus ledger suffix from its peers.
 	DataDir string
 	// Durability selects the WAL sync policy when DataDir is set
 	// (default group commit).
 	Durability wal.SyncPolicy
 	// SnapshotEvery persists application checkpoints every N blocks when
-	// DataDir is set (see runtime.Config.SnapshotEvery).
+	// DataDir is set (see runtime.JournalOptions.SnapshotEvery).
 	SnapshotEvery uint64
-	// StateSync arms checkpoint-based state transfer when DataDir is set
-	// and the protocol supports it: a replica whose data dir is wiped or
-	// behind fetches the f+1-attested snapshot plus ledger suffix from its
-	// peers and rejoins at the cluster head (see runtime.Config.StateSync).
-	StateSync bool
+	// PruneWAL reclaims WAL segments below each persisted checkpoint
+	// (see runtime.JournalOptions.PruneWAL).
+	PruneWAL bool
 	// UnpredictableOrdering enables RCC's §IV permutation ordering.
 	UnpredictableOrdering bool
+	// Auth authenticates every frame between replicas and clients
+	// (default none).
+	Auth crypto.Scheme
+	// Secret is the shared deployment secret: MAC pair keys or the ds dev
+	// keyring derive from it, and so does the threshold scheme of
+	// checkpoint attestation.
+	Secret string
 	// Metrics is the instrument catalog wired through the consensus
-	// machine and runtime of every replica built from these options. An
-	// in-process cluster shares the one catalog: stage histograms and
+	// machine, runtime, and transport of every replica built from these
+	// options. A Cluster shares the one catalog: stage histograms and
 	// consensus counters aggregate across replicas, while per-replica
 	// series carry a replica="ID" label. Nil disables instrumentation.
 	Metrics *obs.NodeMetrics
+	// Logf, when set, receives runtime and state-transfer progress lines.
+	Logf func(format string, args ...any)
+	// RetryTimeout is the client sessions' retransmission timeout
+	// (default 1 s).
+	RetryTimeout time.Duration
+	// FlightMirror is the period of each replica's crash-safe flight-ring
+	// mirror to <DataDir>/flight.bin when Metrics and DataDir are set
+	// (default 2 s).
+	FlightMirror time.Duration
+	// Faults and Failpoints inject link and disk faults (the chaos
+	// harness; NewCluster sets Faults to its own matrix). Nil injects
+	// nothing.
+	Faults     *transport.Faults
+	Failpoints *wal.Failpoints
 }
 
 // ReplicaDir returns the data directory of replica i under base.
@@ -129,15 +168,18 @@ func (o *Options) defaults() error {
 	if o.App == nil {
 		o.App = func() exec.Application { return ycsb.NewStore(ycsb.DefaultRecords) }
 	}
+	if o.RetryTimeout <= 0 {
+		o.RetryTimeout = time.Second
+	}
 	return nil
 }
 
-// machine builds the consensus machine for one replica.
+// machine builds the consensus machine for one replica. RCC and MirBFT run
+// one concurrent instance per replica.
 func (o *Options) machine() (sm.Machine, error) {
 	switch o.Protocol {
 	case RCC, RCCZyzzyva, RCCSBFT:
 		cfg := rcc.Config{
-			M:                     o.M,
 			BatchSize:             o.BatchSize,
 			Window:                o.Window,
 			ProgressTimeout:       o.ProgressTimeout,
@@ -180,14 +222,22 @@ func (o *Options) machine() (sm.Machine, error) {
 		}), nil
 	case MirBFT:
 		return mirbft.New(mirbft.Config{
-			M: o.M, BatchSize: o.BatchSize, Window: o.Window, ProgressTimeout: o.ProgressTimeout,
+			BatchSize: o.BatchSize, Window: o.Window, ProgressTimeout: o.ProgressTimeout,
 		}), nil
 	}
 	return nil, fmt.Errorf("core: unknown protocol %q", o.Protocol)
 }
 
-// BuildMachine validates opts and builds one replica's consensus machine —
-// the hook cmd/rccnode uses to run the same assembly over TCP.
+// auth builds the frame authenticator of one party (nil for no
+// authentication).
+func (o *Options) auth(party uint32) (crypto.Authenticator, error) {
+	if o.Auth == crypto.SchemeNone {
+		return nil, nil
+	}
+	return crypto.NewAuth(o.Auth, party, []byte(o.Secret))
+}
+
+// BuildMachine validates opts and builds one replica's consensus machine.
 func BuildMachine(opts *Options) (sm.Machine, error) {
 	if err := opts.defaults(); err != nil {
 		return nil, err
@@ -195,20 +245,39 @@ func BuildMachine(opts *Options) (sm.Machine, error) {
 	return opts.machine()
 }
 
-// Cluster is a running in-process deployment.
-type Cluster struct {
-	opts     Options
-	params   quorum.Params
-	hub      *transport.Memory
-	replicas []*runtime.Replica
-	machines []sm.Machine
-	clients  []*Client
-	nextCli  types.ClientID
-	started  bool
+// ParsePeers parses a comma-separated id=host:port replica address map.
+func ParsePeers(s string) (map[types.ReplicaID]string, error) {
+	peers := make(map[types.ReplicaID]string)
+	for _, part := range strings.Split(s, ",") {
+		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
+		if len(kv) != 2 {
+			return nil, fmt.Errorf("bad peer %q (want id=host:port)", part)
+		}
+		id, err := strconv.Atoi(kv[0])
+		if err != nil {
+			return nil, fmt.Errorf("bad peer id %q: %v", kv[0], err)
+		}
+		peers[types.ReplicaID(id)] = kv[1]
+	}
+	return peers, nil
 }
 
-// NewCluster assembles a cluster; call Start to run it.
-func NewCluster(opts Options) (*Cluster, error) {
+// Replica is one assembled replica process: its consensus machine hosted
+// by the runtime on a TCP transport.
+type Replica struct {
+	*runtime.Replica
+	// Machine is the consensus machine (for introspection through
+	// Inspect; e.g. cast to *rcc.Replica for Status).
+	Machine sm.Machine
+	// TCP is the replica's transport.
+	TCP *transport.TCP
+}
+
+// NewReplica assembles replica id of the deployment opts describes,
+// listening on listen (host:0 picks a free port; see TCP.Addr). It returns
+// the replica not yet running: install the address book with
+// TCP.SetPeers, then Run.
+func NewReplica(opts Options, id types.ReplicaID, listen string) (*Replica, error) {
 	if err := opts.defaults(); err != nil {
 		return nil, err
 	}
@@ -216,51 +285,162 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{opts: opts, params: params, hub: transport.NewMemory(), nextCli: 1}
+	m, err := opts.machine()
+	if err != nil {
+		return nil, err
+	}
+	auth, err := opts.auth(crypto.PartyID(id))
+	if err != nil {
+		return nil, err
+	}
+	cfg := runtime.Config{
+		ID:      id,
+		Params:  params,
+		Machine: m,
+		App:     opts.App(),
+		Journal: true,
+		DataDir: opts.DataDir,
+		Journaling: runtime.JournalOptions{
+			Sync:          opts.Durability,
+			SnapshotEvery: opts.SnapshotEvery,
+			PruneWAL:      opts.PruneWAL,
+			Failpoints:    opts.Failpoints,
+		},
+		Flight:         runtime.FlightOptions{MirrorInterval: opts.FlightMirror},
+		ReplyToClients: true,
+		Metrics:        opts.Metrics,
+		Logf:           opts.Logf,
+	}
+	if opts.DataDir != "" {
+		cfg.StateSync = runtime.StateSyncOptions{
+			Enabled:      true,
+			Source:       types.NoReplica,
+			OfferWait:    syncOfferWait,
+			Retry:        syncRetry,
+			SteadyProbe:  syncSteadyProbe,
+			AttestScheme: crypto.NewThresholdScheme(opts.N, params.F+1, []byte(opts.Secret)),
+		}
+	}
+	rep, err := runtime.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	tcfg := transport.TCPConfig{Self: id, Listen: listen, Auth: auth, Faults: opts.Faults}
+	if met := opts.Metrics; met != nil {
+		tcfg.VerifyObserve = func(d time.Duration) { met.ObserveStage(obs.StageVerify, d) }
+		tcfg.Flight = met.Flight
+	}
+	tcp, err := transport.NewTCP(tcfg, rep)
+	if err != nil {
+		rep.Stop()
+		return nil, err
+	}
+	rep.Attach(tcp)
+	return &Replica{Replica: rep, Machine: m, TCP: tcp}, nil
+}
+
+// Session is one connected client: a client machine hosted by the runtime
+// on a TCP transport that dials every replica.
+type Session struct {
+	mach *client.Client
+	proc *runtime.ClientProc
+}
+
+// Connect opens client id's session to the replicas at peers and runs it.
+// The session keeps up to window transactions in flight, and onComplete
+// (if set) receives every completion on the session's event loop. Zyzzyva
+// deployments get Zyzzyva-mode clients (all-n response collection),
+// everything else f+1 reply matching. Connect returns once every replica
+// has registered the session, or after a short wait for the ones that do
+// not answer.
+func Connect(opts Options, id types.ClientID, peers map[types.ReplicaID]string, window int, onComplete func(client.Completion)) (*Session, error) {
+	if err := opts.defaults(); err != nil {
+		return nil, err
+	}
+	params, err := quorum.NewParams(opts.N)
+	if err != nil {
+		return nil, err
+	}
+	auth, err := opts.auth(crypto.ClientPartyID(id))
+	if err != nil {
+		return nil, err
+	}
+	mode := client.ModePBFT
+	if opts.Protocol == Zyzzyva {
+		mode = client.ModeZyzzyva
+	}
+	mach := client.New(client.Config{Client: id, Mode: mode, Broadcast: true, RetryTimeout: opts.RetryTimeout})
+	mach.SetWindow(window)
+	mach.SetCompletionHook(onComplete)
+	proc := runtime.NewClient(id, params, mach)
+	tcp, err := transport.NewTCP(transport.TCPConfig{IsClient: true, SelfClient: id, Peers: peers, Auth: auth}, proc)
+	if err != nil {
+		return nil, err
+	}
+	proc.Attach(tcp)
+	tcp.Connect(connectWait)
+	proc.Run()
+	return &Session{mach: mach, proc: proc}, nil
+}
+
+// Submit queues tx as the session's next transaction through the session's
+// event loop, without waiting for it to complete (onComplete may call it to
+// refill the window).
+func (s *Session) Submit(tx types.Transaction) {
+	s.proc.DeliverReplica(types.NoReplica, &client.Submission{Tx: tx})
+}
+
+// Machine returns the client machine (for Completions and Retries).
+func (s *Session) Machine() *client.Client { return s.mach }
+
+// Stop closes the session.
+func (s *Session) Stop() { s.proc.Stop() }
+
+// Cluster is a running deployment of N replicas in this process, on
+// loopback TCP.
+type Cluster struct {
+	opts     Options
+	faults   *transport.Faults
+	replicas []*Replica
+	peers    map[types.ReplicaID]string
+	clients  []*Client
+	nextCli  types.ClientID
+	started  bool
+}
+
+// NewCluster assembles a cluster listening on loopback ports; call Start
+// to run it.
+func NewCluster(opts Options) (*Cluster, error) {
+	if err := opts.defaults(); err != nil {
+		return nil, err
+	}
+	c := &Cluster{
+		opts:    opts,
+		faults:  transport.NewFaults(),
+		peers:   make(map[types.ReplicaID]string, opts.N),
+		nextCli: 1,
+	}
 	for i := 0; i < opts.N; i++ {
-		m, err := opts.machine()
-		if err != nil {
-			return nil, err
-		}
-		rcfg := runtime.Config{
-			ID:      types.ReplicaID(i),
-			Params:  params,
-			Machine: m,
-			App:     opts.App(),
-			Journal: opts.Journal,
-			Journaling: runtime.JournalOptions{
-				Sync:          opts.Durability,
-				SnapshotEvery: opts.SnapshotEvery,
-			},
-			ReplyToClients: true,
-			Metrics:        opts.Metrics,
-		}
+		ro := opts
+		ro.Faults = c.faults
 		if opts.DataDir != "" {
-			rcfg.DataDir = ReplicaDir(opts.DataDir, i)
-			rcfg.StateSync = runtime.StateSyncOptions{
-				Enabled: opts.StateSync,
-				Source:  types.NoReplica,
-			}
+			ro.DataDir = ReplicaDir(opts.DataDir, i)
 		}
-		rep, err := runtime.New(rcfg)
+		r, err := NewReplica(ro, types.ReplicaID(i), "127.0.0.1:0")
 		if err != nil {
-			for j, prev := range c.replicas {
-				c.hub.Detach(types.ReplicaID(j))
-				prev.Stop()
-			}
+			c.Stop()
 			return nil, fmt.Errorf("core: replica %d: %w", i, err)
 		}
-		rep.Attach(c.hub.AttachReplica(types.ReplicaID(i), rep))
-		c.replicas = append(c.replicas, rep)
-		c.machines = append(c.machines, m)
+		c.replicas = append(c.replicas, r)
+		c.peers[types.ReplicaID(i)] = r.TCP.Addr()
+	}
+	for _, r := range c.replicas {
+		r.TCP.SetPeers(c.peers)
 	}
 	return c, nil
 }
 
-// Params returns the deployment's quorum parameters.
-func (c *Cluster) Params() quorum.Params { return c.params }
-
-// Start launches every replica's event loop.
+// Start launches every replica.
 func (c *Cluster) Start() {
 	if c.started {
 		return
@@ -271,43 +451,52 @@ func (c *Cluster) Start() {
 	}
 }
 
-// Stop shuts the whole deployment down.
+// Stop shuts the whole deployment down: clients first, then every replica
+// (each drains its journal before closing its transport).
 func (c *Cluster) Stop() {
 	for _, cl := range c.clients {
-		cl.proc.Stop()
+		cl.s.Stop()
 	}
-	for i, r := range c.replicas {
-		c.hub.Detach(types.ReplicaID(i))
-		r.Stop()
+	var wg sync.WaitGroup
+	for _, r := range c.replicas {
+		wg.Add(1)
+		go func(r *Replica) {
+			defer wg.Done()
+			r.Stop()
+		}(r)
 	}
+	wg.Wait()
 }
 
-// Crash detaches replica i from the transport (a crash fault: the process
-// keeps running but nothing reaches it and nothing leaves it).
-func (c *Cluster) Crash(i int) { c.hub.Detach(types.ReplicaID(i)) }
+// Crash cuts replica i off from every other replica (a crash fault as its
+// peers see it): the process keeps running and keeps its journal, but no
+// protocol message reaches it or leaves it. Client links stay up.
+func (c *Cluster) Crash(i int) { c.faults.Isolate(types.ReplicaID(i), c.opts.N) }
 
 // Replica returns the i-th replica process.
-func (c *Cluster) Replica(i int) *runtime.Replica { return c.replicas[i] }
+func (c *Cluster) Replica(i int) *Replica { return c.replicas[i] }
+
+// Peers returns the replicas' address book, for sessions opened with
+// Connect.
+func (c *Cluster) Peers() map[types.ReplicaID]string { return c.peers }
 
 // Machine returns the i-th replica's consensus machine (for introspection;
 // e.g. cast to *rcc.Replica for Status).
-func (c *Cluster) Machine(i int) sm.Machine { return c.machines[i] }
+func (c *Cluster) Machine(i int) sm.Machine { return c.replicas[i].Machine }
 
-// Ledger returns replica i's journal (nil unless Options.Journal).
+// Ledger returns replica i's journal.
 func (c *Cluster) Ledger(i int) *ledger.Ledger { return c.replicas[i].Ledger() }
 
-// Client is a connected cluster client.
+// Client is a cluster client that awaits its completions one by one.
 type Client struct {
+	s       *Session
 	id      types.ClientID
-	mach    *client.Client
-	proc    *runtime.ClientProc
 	done    chan client.Completion
 	nextSeq uint64
 }
 
 // NewClient connects a new client to the cluster; pass 0 to auto-assign an
-// identity. Zyzzyva deployments get Zyzzyva-mode clients (all-n response
-// collection), everything else f+1 reply matching.
+// identity.
 func (c *Cluster) NewClient(id types.ClientID) *Client {
 	if id == 0 {
 		id = c.nextCli
@@ -315,28 +504,21 @@ func (c *Cluster) NewClient(id types.ClientID) *Client {
 	if id >= c.nextCli {
 		c.nextCli = id + 1
 	}
-	mode := client.ModePBFT
-	if c.opts.Protocol == Zyzzyva {
-		mode = client.ModeZyzzyva
-	}
-	mach := client.New(client.Config{
-		Client:       id,
-		Mode:         mode,
-		Broadcast:    true,
-		RetryTimeout: 2 * c.opts.ProgressTimeout,
-	})
-	cl := &Client{id: id, mach: mach, done: make(chan client.Completion, 256)}
-	mach.SetCompletionHook(func(comp client.Completion) {
+	cl := &Client{id: id, done: make(chan client.Completion, 256)}
+	s, err := Connect(c.opts, id, c.peers, 1, func(comp client.Completion) {
 		select {
 		case cl.done <- comp:
 		default:
 		}
 	})
-	proc := runtime.NewClient(id, c.params, mach)
-	proc.Attach(c.hub.AttachClient(id, proc))
-	cl.proc = proc
+	if err != nil {
+		// Unreachable: NewCluster already built every replica's
+		// authenticator from these options, and a client transport does
+		// not listen.
+		panic(fmt.Sprintf("core: client %d: %v", id, err))
+	}
+	cl.s = s
 	c.clients = append(c.clients, cl)
-	proc.Run()
 	return cl
 }
 
@@ -346,8 +528,7 @@ func (cl *Client) ID() types.ClientID { return cl.id }
 // Submit queues op as the client's next transaction without waiting.
 func (cl *Client) Submit(op []byte) uint64 {
 	cl.nextSeq++
-	tx := types.Transaction{Client: cl.id, Seq: cl.nextSeq, Op: op}
-	cl.proc.DeliverReplica(types.NoReplica, &client.Submission{Tx: tx})
+	cl.s.Submit(types.Transaction{Client: cl.id, Seq: cl.nextSeq, Op: op})
 	return cl.nextSeq
 }
 

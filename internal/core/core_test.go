@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/bank"
+	"repro/internal/crypto"
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
@@ -15,7 +16,7 @@ import (
 )
 
 func TestQuickstartRCC(t *testing.T) {
-	cluster, err := NewCluster(Options{N: 4, Journal: true})
+	cluster, err := NewCluster(Options{N: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,6 +260,79 @@ func TestTxnLifecycleAcrossReplicas(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCheckpointAttestationOverTCP: a durable cluster has state transfer
+// on, and with it checkpoint-boundary attestation, so under load every
+// replica combines f+1 threshold shares over its checkpoints — the
+// attested offers a rejoining replica locks its fetch target on.
+func TestCheckpointAttestationOverTCP(t *testing.T) {
+	cluster, err := NewCluster(Options{N: 4, DataDir: t.TempDir(), SnapshotEvery: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	cluster.Start()
+
+	const clients, txns = 4, 16
+	errs := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		cl := cluster.NewClient(0)
+		go func(cl *Client) {
+			for j := 0; j < txns; j++ {
+				if _, err := cl.Execute(ycsb.EncodeWrite(uint32(j), []byte("v")), 15*time.Second); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(cl)
+	}
+	for i := 0; i < clients; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		sync := cluster.Replica(i).StateSync()
+		if sync == nil {
+			t.Fatalf("replica %d: no state transfer on a durable cluster", i)
+		}
+		waitFor(t, 10*time.Second, func() bool { return sync.Stats().AttestationsFormed > 0 })
+	}
+}
+
+// TestAuthSchemesOverTCP drives a cluster to completion under pairwise
+// MACs and under ED25519 dev-keyring signatures: replicas and clients
+// key their authenticators from the one deployment secret.
+func TestAuthSchemesOverTCP(t *testing.T) {
+	for _, scheme := range []crypto.Scheme{crypto.SchemeMAC, crypto.SchemeDS} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			cluster, err := NewCluster(Options{N: 4, Auth: scheme, Secret: "core-auth"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cluster.Stop()
+			cluster.Start()
+			for c := 0; c < 2; c++ {
+				cl := cluster.NewClient(0)
+				for i := 0; i < 4; i++ {
+					if _, err := cl.Execute(ycsb.EncodeWrite(uint32(i), []byte("v")), 10*time.Second); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			waitFor(t, 5*time.Second, func() bool { return cluster.Ledger(0).TxnCount() >= 8 })
+			for i := 0; i < 4; i++ {
+				if err := cluster.Ledger(i).Verify(); err != nil {
+					t.Fatalf("replica %d ledger: %v", i, err)
+				}
+			}
+		})
+	}
+	if _, err := NewCluster(Options{N: 4, Auth: crypto.SchemeMAC}); err == nil {
+		t.Fatal("accepted MAC authentication without a secret")
 	}
 }
 

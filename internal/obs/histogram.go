@@ -52,14 +52,17 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	h.counts[bucketIndex(d)].Add(1)
-	h.sum.Add(int64(d))
+	// Raise max before counting the observation: Snapshot loads the counts
+	// first and max after them, so any count it sees comes with a max at
+	// least as large, and no quantile lands above max.
 	for {
 		cur := h.max.Load()
 		if int64(d) <= cur || h.max.CompareAndSwap(cur, int64(d)) {
-			return
+			break
 		}
 	}
+	h.counts[bucketIndex(d)].Add(1)
+	h.sum.Add(int64(d))
 }
 
 // HistSnapshot is a point-in-time summary of a histogram.

@@ -27,12 +27,10 @@ func TestAuthMACOverTCP(t *testing.T) {
 }
 
 // TestAuthDSOverTCP runs the same stack under ED25519 dev-keyring
-// signatures with the verify pool and the verified-digest cache active —
-// the `-auth ds` stack, i.e. the authenticated configuration of Fig. 7
+// signatures with the verify pool active — the `-auth ds` stack, i.e. the authenticated configuration of Fig. 7
 // (right) measured live.
 func TestAuthDSOverTCP(t *testing.T) {
 	opts := dsOpts("auth-ds-smoke")
-	opts.cacheEntries = 4096
 	params, _ := quorum.NewParams(4)
 	peers, reps := tcpClusterWith(t, 4, opts, func() sm.Machine {
 		return rcc.New(rcc.Config{BatchSize: 1, Window: 4})
@@ -62,7 +60,6 @@ func TestDSVerifyPoolDeterminismOverTCP(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			opts := dsOpts("determinism-secret")
 			opts.verifyWorkers = workers
-			opts.cacheEntries = 4096
 			params, _ := quorum.NewParams(4)
 			peers, reps := tcpClusterWith(t, 4, opts, func() sm.Machine {
 				return rcc.New(rcc.Config{BatchSize: 1, Window: 4})

@@ -49,9 +49,6 @@ type JournalOptions struct {
 	// QueueDepth bounds blocks executed but not yet durable (default
 	// wal.DefaultQueueDepth).
 	QueueDepth int
-	// MaxBatchBytes caps the WAL bytes one fsync covers (default
-	// wal.DefaultMaxBatchBytes).
-	MaxBatchBytes int64
 	// SnapshotEvery persists an application checkpoint every N decided
 	// blocks when App implements store.Snapshotter (0 disables periodic
 	// checkpoints; RCC's dynamic checkpoints still persist on demand).
@@ -67,6 +64,10 @@ type JournalOptions struct {
 	Failpoints *wal.Failpoints
 }
 
+// fsyncStallThreshold is the WAL commit-point latency above which an
+// fsync_stall flight event is recorded, detail = latency in nanoseconds.
+const fsyncStallThreshold = 250 * time.Millisecond
+
 // FlightOptions tunes the black-box flight recorder's runtime hooks. All
 // thresholds follow the same convention: zero means the default, negative
 // disables the hook.
@@ -76,10 +77,6 @@ type FlightOptions struct {
 	// rcc_loop_stalls_total increments (default 500ms). One event fires per
 	// stall episode, not per probe interval.
 	StallThreshold time.Duration
-	// FsyncStallThreshold is the WAL commit-point latency above which an
-	// fsync_stall event is recorded, detail = latency in nanoseconds
-	// (default 250ms).
-	FsyncStallThreshold time.Duration
 	// MirrorInterval is the period of the crash-safe ring mirror written to
 	// <DataDir>/flight.bin (default 2s; requires DataDir). kill -9 then
 	// loses at most one interval of events; a sticky durability failure
@@ -90,9 +87,6 @@ type FlightOptions struct {
 func (o *FlightOptions) defaults() {
 	if o.StallThreshold == 0 {
 		o.StallThreshold = 500 * time.Millisecond
-	}
-	if o.FsyncStallThreshold == 0 {
-		o.FsyncStallThreshold = 250 * time.Millisecond
 	}
 	if o.MirrorInterval == 0 {
 		o.MirrorInterval = 2 * time.Second
@@ -109,8 +103,6 @@ type StateSyncOptions struct {
 	// peers, installs it crash-atomically, and rejoins consensus at the
 	// cluster head.
 	Enabled bool
-	// ChunkBytes bounds each served snapshot chunk (default 256 KiB).
-	ChunkBytes int
 	// Source is the preferred transfer source; types.NoReplica (or any
 	// ID outside the attesting set) falls back to automatic selection,
 	// and the fetcher still rotates away on failure.
@@ -256,10 +248,9 @@ func New(cfg Config) (*Replica, error) {
 			fsync := cfg.Metrics.WALFsync
 			met := cfg.Metrics
 			id := uint16(cfg.ID)
-			stall := cfg.Flight.FsyncStallThreshold
 			onCommit = func(_ int, _ int64, took time.Duration) {
 				fsync.Observe(took)
-				if stall > 0 && took >= stall {
+				if took >= fsyncStallThreshold {
 					// The disk held up a commit point long enough to matter:
 					// leave a breadcrumb the post-mortem timeline can line up
 					// against demotions and view changes.
@@ -268,13 +259,12 @@ func New(cfg Config) (*Replica, error) {
 			}
 		}
 		dl, err := store.Open(cfg.DataDir, store.Options{
-			Sync:          cfg.Journaling.Sync,
-			QueueDepth:    cfg.Journaling.QueueDepth,
-			MaxBatchBytes: cfg.Journaling.MaxBatchBytes,
-			OnCommit:      onCommit,
-			PruneWAL:      cfg.Journaling.PruneWAL,
-			Failpoints:    cfg.Journaling.Failpoints,
-			Identity:      fmt.Sprintf("replica-%d", cfg.ID),
+			Sync:       cfg.Journaling.Sync,
+			QueueDepth: cfg.Journaling.QueueDepth,
+			OnCommit:   onCommit,
+			PruneWAL:   cfg.Journaling.PruneWAL,
+			Failpoints: cfg.Journaling.Failpoints,
+			Identity:   fmt.Sprintf("replica-%d", cfg.ID),
 		})
 		if err != nil {
 			return nil, err
@@ -403,7 +393,6 @@ func (r *Replica) initStateSync() {
 		Self:          r.cfg.ID,
 		N:             r.cfg.Params.N,
 		Attest:        r.cfg.Params.FaultDetection(),
-		ChunkBytes:    r.cfg.StateSync.ChunkBytes,
 		OfferWait:     r.cfg.StateSync.OfferWait,
 		RetryInterval: r.cfg.StateSync.Retry,
 		SteadyProbe:   r.cfg.StateSync.SteadyProbe,
@@ -611,8 +600,6 @@ func (r *Replica) Attach(t transport.Transport) {
 		{"transport_auth_rejects_total", "records dropped for a bad authenticator tag", func(s transport.TCPStats) uint64 { return s.AuthRejects }},
 		{"transport_auth_demotions_total", "inbound links closed after consecutive auth failures", func(s transport.TCPStats) uint64 { return s.AuthDemotions }},
 		{"transport_verified_frames_total", "frames verified by the verify worker pool", func(s transport.TCPStats) uint64 { return s.VerifiedFrames }},
-		{"transport_digest_cache_hits_total", "verified-digest cache hits (re-verification skipped)", func(s transport.TCPStats) uint64 { return s.DigestHits }},
-		{"transport_digest_cache_misses_total", "verified-digest cache misses", func(s transport.TCPStats) uint64 { return s.DigestMisses }},
 	}
 	for _, c := range counters {
 		get := c.get

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/crypto"
-	"repro/internal/crypto/digestcache"
 	"repro/internal/pbft"
 	"repro/internal/quorum"
 	"repro/internal/rcc"
@@ -24,8 +23,6 @@ type tcpAuthOpts struct {
 	auth func(party uint32) crypto.Authenticator
 	// verifyWorkers is passed through to TCPConfig (0 = scheme default).
 	verifyWorkers int
-	// cacheEntries > 0 gives each replica a verified-digest cache.
-	cacheEntries int
 }
 
 // macOpts is the MAC-from-shared-secret configuration the original tests
@@ -78,9 +75,6 @@ func tcpClusterWith(t *testing.T, n int, opts tcpAuthOpts, machine func() sm.Mac
 		}
 		if opts.auth != nil {
 			cfg.Auth = opts.auth(crypto.PartyID(id))
-		}
-		if opts.cacheEntries > 0 {
-			cfg.DigestCache = digestcache.New(opts.cacheEntries)
 		}
 		tcp, err := transport.NewTCP(cfg, reps[i])
 		if err != nil {

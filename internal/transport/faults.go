@@ -1,7 +1,7 @@
 package transport
 
-// Network fault injection for the chaos harness and tests. One Faults value
-// is shared by every node of an in-process cluster: it is a directional
+// Network fault injection for the chaos harness, core.Cluster's Crash, and
+// tests. One Faults value is shared by every node of a cluster: it is a directional
 // link-state matrix (cut or delayed), and each TCP node consults it with its
 // own identity at the two points a message crosses the boundary — outbound
 // at Send-enqueue time and inbound just before endpoint delivery. Checking

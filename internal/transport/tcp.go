@@ -13,9 +13,24 @@ import (
 	"time"
 
 	"repro/internal/crypto"
-	"repro/internal/crypto/digestcache"
 	"repro/internal/obs/flight"
 	"repro/internal/types"
+)
+
+// Fixed link limits of every TCP node.
+const (
+	// maxBatchBytes and maxBatchMsgs cap what one write batch coalesces
+	// into a single syscall.
+	maxBatchBytes = 128 << 10
+	maxBatchMsgs  = 256
+	// maxFrameBytes caps accepted inbound frames.
+	maxFrameBytes = 64 << 20
+	// dialTimeout bounds each connection attempt.
+	dialTimeout = 2 * time.Second
+	// verifyQueueDepth bounds both the shared verify-pool queue and each
+	// link's in-order release FIFO, in frames: a link producing faster
+	// than the pool verifies backpressures its own reader.
+	verifyQueueDepth = 32
 )
 
 // TCPConfig parameterizes a TCP node.
@@ -41,15 +56,6 @@ type TCPConfig struct {
 	// Overflow drops the reply and counts it — a stalled client never
 	// delays anyone else's replies.
 	ClientQueueDepth int
-	// MaxBatchBytes caps the encoded bytes one write batch coalesces into
-	// a single syscall (default 128 KiB).
-	MaxBatchBytes int
-	// MaxBatchMsgs caps the messages per write batch (default 256).
-	MaxBatchMsgs int
-	// MaxFrameBytes caps accepted inbound frames (default 64 MiB).
-	MaxFrameBytes int
-	// DialTimeout bounds each connection attempt (default 2s).
-	DialTimeout time.Duration
 	// WriteTimeout bounds each steady-state frame write (default 10s).
 	// A peer that accepts the connection but stops draining it (paused,
 	// partitioned, Byzantine) fails its write within this bound and the
@@ -72,20 +78,11 @@ type TCPConfig struct {
 	// queue handoff). Negative forces the inline path; positive forces a
 	// pool of that size. Ignored when Auth is nil or SchemeNone.
 	VerifyWorkers int
-	// VerifyQueueDepth bounds both the shared pool queue and each link's
-	// in-order release FIFO, in frames (default 32). A link producing
-	// faster than the pool verifies backpressures its own reader.
-	VerifyQueueDepth int
 	// AuthFailLimit demotes an inbound link after this many consecutive
 	// records failed authentication (default 16): the connection is closed
 	// and the counting peer re-establishes through its reconnect backoff.
 	// Negative disables demotion.
 	AuthFailLimit int
-	// DigestCache, when set, memoizes verified client-request digests so
-	// retransmitted and cross-delivered requests skip re-verification.
-	// Worth wiring for digital signatures; a MAC re-check costs about as
-	// much as the cache's own hash.
-	DigestCache *digestcache.Cache
 	// VerifyObserve, when set, receives the queue+verify latency of every
 	// frame the verify pool completes (feeds the "verify" stage histogram).
 	VerifyObserve func(time.Duration)
@@ -95,7 +92,7 @@ type TCPConfig struct {
 	Flight *flight.Recorder
 	// Faults, when set, injects link faults (partition drops, per-link
 	// delays) at the send and delivery boundaries — see faults.go. The
-	// chaos harness shares one matrix across an in-process cluster; nil
+	// chaos harness and core.Cluster share one matrix across a cluster; nil
 	// (production) injects nothing and costs one nil check per message.
 	Faults *Faults
 }
@@ -106,18 +103,6 @@ func (c *TCPConfig) defaults() {
 	}
 	if c.ClientQueueDepth <= 0 {
 		c.ClientQueueDepth = 1024
-	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = 128 << 10
-	}
-	if c.MaxBatchMsgs <= 0 {
-		c.MaxBatchMsgs = 256
-	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = 64 << 20
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 10 * time.Second
@@ -130,9 +115,6 @@ func (c *TCPConfig) defaults() {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = time.Second
-	}
-	if c.VerifyQueueDepth <= 0 {
-		c.VerifyQueueDepth = 32
 	}
 	if c.AuthFailLimit == 0 {
 		c.AuthFailLimit = 16
@@ -190,10 +172,6 @@ type TCPStats struct {
 	// VerifiedFrames counts frames verified off the reader thread by the
 	// verify worker pool (0 on the inline path).
 	VerifiedFrames uint64
-	// DigestHits / DigestMisses mirror the configured digest cache's
-	// counters (0 when no cache is wired).
-	DigestHits   uint64
-	DigestMisses uint64
 	// FaultDropped counts messages discarded by injected link faults
 	// (faults.go); always 0 without a Faults matrix.
 	FaultDropped uint64
@@ -314,10 +292,6 @@ func (t *TCP) Stats() TCPStats {
 		VerifiedFrames: t.verifiedFrames.Load(),
 		FaultDropped:   t.faultDropped.Load(),
 	}
-	if c := t.cfg.DigestCache; c != nil {
-		cs := c.Stats()
-		st.DigestHits, st.DigestMisses = cs.Hits, cs.Misses
-	}
 	return st
 }
 
@@ -384,14 +358,15 @@ func (t *TCP) acceptLoop() {
 			return
 		}
 		t.wgReaders.Add(1)
-		go t.readLoop(c, false)
+		go t.readLoop(c, nil)
 	}
 }
 
 // readLoop reads one connection: stream header first (refusing version
-// mismatches), then batched frames. dialed marks connections this node
-// dialed (a client reading replies from a replica).
-func (t *TCP) readLoop(c net.Conn, dialed bool) {
+// mismatches), then batched frames. dialed is the link of a connection this
+// node dialed (a client reading replies from a replica), nil for accepted
+// connections.
+func (t *TCP) readLoop(c net.Conn, dialed *peerQueue) {
 	var cq *connQueue
 	defer t.wgReaders.Done()
 	defer func() {
@@ -413,7 +388,12 @@ func (t *TCP) readLoop(c net.Conn, dialed bool) {
 		return
 	}
 	party := hdr.party()
-	if hdr.isClient && !dialed {
+	if dialed != nil {
+		// The replica writes its header only after registering this
+		// client's reply queue: from here on its replies reach us.
+		dialed.readyOnce.Do(func() { close(dialed.ready) })
+	}
+	if hdr.isClient && dialed == nil {
 		// A client link: replies to this client ride a dedicated bounded
 		// queue on the connection's write half.
 		cq = newConnQueue(t, c, hdr.client)
@@ -441,7 +421,7 @@ func (t *TCP) readLoop(c net.Conn, dialed bool) {
 			return
 		}
 		n := int(binary.BigEndian.Uint32(lenb[:]))
-		if n <= 0 || n > t.cfg.MaxFrameBytes {
+		if n <= 0 || n > maxFrameBytes {
 			return
 		}
 		bp := getBuf()
@@ -573,11 +553,64 @@ func (t *TCP) peerQueueFor(to types.ReplicaID) (*peerQueue, error) {
 		id:    to,
 		party: crypto.PartyID(to),
 		ch:    make(chan types.Message, t.cfg.QueueDepth),
+		dial:  make(chan struct{}, 1),
+		ready: make(chan struct{}),
 	}
 	t.queues[to] = q
 	t.wgWriters.Add(1)
 	go q.run()
 	return q, nil
+}
+
+// Connect dials every replica link of a client node now instead of on its
+// first Send, and waits until each replica has answered with its stream
+// header or the timeout expires; it returns how many links answered. A
+// replica registers the client before answering, and drops replies to a
+// client it has not registered, so a client that waits here cannot lose
+// the reply of a replica that hears of its request from a peer before the
+// client's own link reaches it (Zyzzyva's all-n fast path needs every
+// reply). Replica nodes return 0 at once.
+func (t *TCP) Connect(timeout time.Duration) int {
+	if !t.cfg.IsClient {
+		return 0
+	}
+	t.mu.Lock()
+	ids := make([]types.ReplicaID, 0, len(t.cfg.Peers))
+	for id := range t.cfg.Peers {
+		ids = append(ids, id)
+	}
+	t.mu.Unlock()
+	var links []*peerQueue
+	for _, id := range ids {
+		q, err := t.peerQueueFor(id)
+		if err != nil {
+			continue
+		}
+		select {
+		case q.dial <- struct{}{}:
+		default:
+		}
+		links = append(links, q)
+	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+wait:
+	for _, q := range links {
+		select {
+		case <-q.ready:
+		case <-timer.C:
+			break wait
+		}
+	}
+	ready := 0
+	for _, q := range links {
+		select {
+		case <-q.ready:
+			ready++
+		default:
+		}
+	}
+	return ready
 }
 
 // Close implements Transport: stop accepting work, give every writer up to
@@ -633,6 +666,12 @@ type peerQueue struct {
 	party     uint32
 	ch        chan types.Message
 	connected atomic.Bool
+	// dial asks the writer to connect before any message is queued
+	// (Connect). ready closes when a client's dialed link first reads the
+	// replica's stream header.
+	dial      chan struct{}
+	ready     chan struct{}
+	readyOnce sync.Once
 }
 
 // enqueue applies the replica-link overflow policy: backpressure while the
@@ -680,10 +719,53 @@ func (q *peerQueue) run() {
 	scratch := make([]byte, 0, 512)
 	frame := make([]byte, 0, 4096)
 
+	// connect dials the peer and announces this node; on failure it arms
+	// the redial backoff. It reports false only when the transport closed.
+	connect := func() bool {
+		c, err := net.DialTimeout("tcp", q.addr(), dialTimeout)
+		if err == nil {
+			if !t.addConn(c) {
+				c.Close()
+				return false
+			}
+			hdr := appendHeader(nil, t.cfg.IsClient, t.cfg.Self, t.cfg.SelfClient)
+			if _, err = c.Write(hdr); err != nil {
+				t.dropConn(c)
+				c.Close()
+			}
+		}
+		if err != nil {
+			nextDial = time.Now().Add(backoff)
+			backoff = min(2*backoff, t.cfg.ReconnectBackoffMax)
+			return true
+		}
+		conn = c
+		q.connected.Store(true)
+		backoff = t.cfg.ReconnectBackoff
+		if everConnected {
+			t.reconnects.Add(1)
+			t.emit(flight.KReconnect, 0, uint64(q.id))
+		} else {
+			t.emit(flight.KConnect, 0, uint64(q.id))
+		}
+		everConnected = true
+		if t.cfg.IsClient {
+			// Clients read their replies off the dialed connection.
+			t.wgReaders.Add(1)
+			go t.readLoop(c, q)
+		}
+		return true
+	}
+
 	for {
 		var first types.Message
 		select {
 		case first = <-q.ch:
+		case <-q.dial:
+			if conn == nil && !time.Now().Before(nextDial) && !connect() {
+				return
+			}
+			continue
 		case <-t.done:
 			if conn != nil {
 				t.drainOnClose(conn, q.ch, q.party, &frame, &scratch)
@@ -699,46 +781,17 @@ func (q *peerQueue) run() {
 		}
 
 		if conn == nil {
-			now := time.Now()
-			if now.Before(nextDial) {
+			if time.Now().Before(nextDial) {
 				t.peerDropped.Add(uint64(count))
 				t.emit(flight.KOverflowDrop, uint64(count), uint64(q.id))
 				continue
 			}
-			c, err := net.DialTimeout("tcp", q.addr(), t.cfg.DialTimeout)
-			if err != nil {
-				nextDial = time.Now().Add(backoff)
-				backoff = min(2*backoff, t.cfg.ReconnectBackoffMax)
-				t.peerDropped.Add(uint64(count))
-				continue
-			}
-			if !t.addConn(c) {
-				c.Close()
+			if !connect() {
 				return
 			}
-			hdr := appendHeader(nil, t.cfg.IsClient, t.cfg.Self, t.cfg.SelfClient)
-			if _, err := c.Write(hdr); err != nil {
-				t.dropConn(c)
-				c.Close()
-				nextDial = time.Now().Add(backoff)
-				backoff = min(2*backoff, t.cfg.ReconnectBackoffMax)
+			if conn == nil {
 				t.peerDropped.Add(uint64(count))
 				continue
-			}
-			conn = c
-			q.connected.Store(true)
-			backoff = t.cfg.ReconnectBackoff
-			if everConnected {
-				t.reconnects.Add(1)
-				t.emit(flight.KReconnect, 0, uint64(q.id))
-			} else {
-				t.emit(flight.KConnect, 0, uint64(q.id))
-			}
-			everConnected = true
-			if t.cfg.IsClient {
-				// Clients read their replies off the dialed connection.
-				t.wgReaders.Add(1)
-				go t.readLoop(c, true)
 			}
 		}
 
@@ -831,7 +884,7 @@ func batchInto(t *TCP, frame []byte, ch chan types.Message, first types.Message,
 	}
 	add(first)
 collect:
-	for count < t.cfg.MaxBatchMsgs && len(frame) < t.cfg.MaxBatchBytes {
+	for count < maxBatchMsgs && len(frame) < maxBatchBytes {
 		select {
 		case m := <-ch:
 			add(m)

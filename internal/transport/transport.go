@@ -1,7 +1,7 @@
 // Package transport provides the message transports of the replica runtime:
-// an in-process transport for tests and single-machine deployments, and a
-// TCP transport (binary wire format v2, see wire.go) for real multi-host
-// deployments via cmd/rccnode and cmd/rccclient.
+// an in-process transport for the runtime's unit tests, and a TCP transport
+// (binary wire format v2, see wire.go) that every assembled deployment runs
+// on (internal/core; cmd/rccnode and cmd/rccclient).
 //
 // # Non-blocking contract
 //
@@ -34,10 +34,9 @@
 // against the sender identity announced in the connection's stream header
 // before delivery. With digital signatures (and optionally with MACs, see
 // TCPConfig.VerifyWorkers) verification runs on a bounded shared worker
-// pool that preserves per-link delivery order, batches a frame's records
-// into one VerifyBatch call, and can memoize verified client-request
-// digests in a TCPConfig.DigestCache; links streaming forged records are
-// demoted after AuthFailLimit consecutive failures. See verify.go.
+// pool that preserves per-link delivery order and batches a frame's records
+// into one VerifyBatch call; links streaming forged records are demoted
+// after AuthFailLimit consecutive failures. See verify.go.
 package transport
 
 import (

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -278,6 +279,43 @@ func TestTCPClientReplyPath(t *testing.T) {
 	if got := cliSink.first(t).(*types.ClientReply); got.Seq != 1 || got.Client != 42 {
 		t.Fatalf("reply mangled: %+v", got)
 	}
+}
+
+// TestTCPClientConnectRegistersBeforeAnySend: Connect returns only once
+// every replica has registered the client, so a replica can answer it
+// before the client ever sent anything — the position of a Zyzzyva backup
+// that learns of a request from the primary's order first. One of the two
+// replicas is down: Connect reports the one link that answered.
+func TestTCPClientConnectRegistersBeforeAnySend(t *testing.T) {
+	srv, err := NewTCP(TCPConfig{Self: 0, Listen: "127.0.0.1:0"}, newSink())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr().String()
+	dead.Close()
+
+	cliSink := newSink()
+	cli, err := NewTCP(TCPConfig{
+		IsClient: true, SelfClient: 42,
+		Peers: map[types.ReplicaID]string{0: srv.Addr(), 1: deadAddr},
+	}, cliSink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if got := cli.Connect(300 * time.Millisecond); got != 1 {
+		t.Fatalf("Connect reported %d ready links, want 1", got)
+	}
+	reply := &types.ClientReply{Replica: 0, Client: 42, Seq: 1, Count: 1}
+	if err := srv.SendClient(42, reply); err != nil {
+		t.Fatalf("replica has not registered the connected client: %v", err)
+	}
+	cliSink.wait(t, 1)
 }
 
 func TestFrameMarshalRoundTrip(t *testing.T) {

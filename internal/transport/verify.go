@@ -27,7 +27,7 @@ package transport
 // the rest.
 //
 // Batching falls out of the wire format: a sender under vote load coalesces
-// everything queued into one frame, so one task carries up to MaxBatchMsgs
+// everything queued into one frame, so one task carries up to maxBatchMsgs
 // records and the worker hands them to the authenticator's VerifyBatch in a
 // single call — the queue drains in frame-sized batches exactly when load is
 // highest.
@@ -36,14 +36,11 @@ package transport
 // keep the zero-copy inline path in readLoop.
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"net"
 	"sync"
 	"time"
 
 	"repro/internal/crypto"
-	"repro/internal/crypto/digestcache"
 	"repro/internal/obs/flight"
 	"repro/internal/types"
 )
@@ -68,7 +65,6 @@ type verifyTask struct {
 	// scratch slices reused by the worker for VerifyBatch calls.
 	batchPayloads [][]byte
 	batchTags     [][]byte
-	batchIdx      []int
 
 	start time.Time
 	done  chan struct{}
@@ -92,7 +88,6 @@ func releaseTask(task *verifyTask) {
 	task.ok = task.ok[:0]
 	task.batchPayloads = task.batchPayloads[:0]
 	task.batchTags = task.batchTags[:0]
-	task.batchIdx = task.batchIdx[:0]
 	task.done = nil
 	taskPool.Put(task)
 }
@@ -107,7 +102,7 @@ type verifyPool struct {
 // newVerifyPool starts workers verify workers. Callers gate on the scheme:
 // no pool is built for unauthenticated transports.
 func newVerifyPool(t *TCP, workers int) *verifyPool {
-	p := &verifyPool{t: t, ch: make(chan *verifyTask, t.cfg.VerifyQueueDepth)}
+	p := &verifyPool{t: t, ch: make(chan *verifyTask, verifyQueueDepth)}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go p.worker()
@@ -158,37 +153,14 @@ func (p *verifyPool) run(task *verifyTask) {
 	}
 	task.payloadOffs = append(task.payloadOffs, len(task.payloads))
 
-	for i, m := range task.msgs {
-		payload := task.payloads[task.payloadOffs[i]:task.payloadOffs[i+1]]
-		tag := task.tags[task.tagOffs[i]:task.tagOffs[i+1]]
-		if cache := t.cfg.DigestCache; cache != nil {
-			if req, isReq := m.(*types.ClientRequest); isReq {
-				key := requestCacheKey(party, payload, tag, req)
-				if cache.Contains(key) {
-					task.ok[i] = true // this exact triple verified before
-					continue
-				}
-				if task.ok[i] = auth.Verify(party, payload, tag); task.ok[i] {
-					cache.Add(key)
-				}
-				continue
-			}
-		}
-		task.batchIdx = append(task.batchIdx, i)
-	}
-
-	if ba, isBatch := auth.(crypto.BatchAuthenticator); isBatch && len(task.batchIdx) > 1 {
-		for _, i := range task.batchIdx {
+	if ba, isBatch := auth.(crypto.BatchAuthenticator); isBatch && len(task.msgs) > 1 {
+		for i := range task.msgs {
 			task.batchPayloads = append(task.batchPayloads, task.payloads[task.payloadOffs[i]:task.payloadOffs[i+1]])
 			task.batchTags = append(task.batchTags, task.tags[task.tagOffs[i]:task.tagOffs[i+1]])
 		}
-		verdicts := make([]bool, len(task.batchIdx))
-		ba.VerifyBatch(party, task.batchPayloads, task.batchTags, verdicts)
-		for j, i := range task.batchIdx {
-			task.ok[i] = verdicts[j]
-		}
+		ba.VerifyBatch(party, task.batchPayloads, task.batchTags, task.ok)
 	} else {
-		for _, i := range task.batchIdx {
+		for i := range task.msgs {
 			payload := task.payloads[task.payloadOffs[i]:task.payloadOffs[i+1]]
 			tag := task.tags[task.tagOffs[i]:task.tagOffs[i+1]]
 			task.ok[i] = auth.Verify(party, payload, tag)
@@ -200,23 +172,6 @@ func (p *verifyPool) run(task *verifyTask) {
 		obs(time.Since(task.start))
 	}
 	close(task.done)
-}
-
-// requestCacheKey derives the digest-cache key for one verified-or-not
-// client request record. The digest binds the sender party, the exact
-// authenticated payload, and the tag (length-prefixed so boundaries cannot
-// shift), so a hit proves this precise triple passed verification before.
-func requestCacheKey(party uint32, payload, tag []byte, req *types.ClientRequest) digestcache.Key {
-	h := sha256.New()
-	var b [8]byte
-	binary.BigEndian.PutUint32(b[:4], party)
-	binary.BigEndian.PutUint32(b[4:], uint32(len(payload)))
-	h.Write(b[:])
-	h.Write(payload)
-	h.Write(tag)
-	k := digestcache.Key{Client: uint64(req.Tx.Client), Seq: req.Tx.Seq}
-	h.Sum(k.Digest[:0])
-	return k
 }
 
 // inLink is the verify-pool state of one inbound connection: the FIFO of
@@ -248,7 +203,7 @@ func (t *TCP) newInLink(c net.Conn, hdr wireHeader) *inLink {
 		isClient: hdr.isClient,
 		replica:  hdr.replica,
 		client:   hdr.client,
-		pending:  make(chan *verifyTask, t.cfg.VerifyQueueDepth),
+		pending:  make(chan *verifyTask, verifyQueueDepth),
 	}
 	t.wgReaders.Add(1)
 	go l.release()

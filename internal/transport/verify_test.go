@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/crypto"
-	"repro/internal/crypto/digestcache"
 	"repro/internal/types"
 )
 
@@ -201,52 +200,5 @@ func TestTCPAuthDemotion(t *testing.T) {
 				t.Fatalf("delivered %d forged messages", n)
 			}
 		})
-	}
-}
-
-// TestTCPDigestCacheHitsOnRetransmit: the same client request delivered
-// twice (a retransmission) must verify once and hit the digest cache the
-// second time — and still be delivered both times (the cache dedupes crypto
-// work, not messages).
-func TestTCPDigestCacheHitsOnRetransmit(t *testing.T) {
-	secret := []byte("cache-secret")
-	cache := digestcache.New(1024)
-	srvSink := newSink()
-	srv, err := NewTCP(TCPConfig{
-		Self: 0, Listen: "127.0.0.1:0",
-		Auth: crypto.NewDSDev(crypto.PartyID(0), secret), DigestCache: cache,
-	}, srvSink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	cli, err := NewTCP(TCPConfig{
-		IsClient: true, SelfClient: 42,
-		Peers: map[types.ReplicaID]string{0: srv.Addr()},
-		Auth:  crypto.NewDSDev(crypto.ClientPartyID(42), secret),
-	}, newSink())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	req := types.NewClientRequest(0, types.Transaction{Client: 42, Seq: 1, Op: []byte("put")})
-	if err := cli.Send(0, req); err != nil {
-		t.Fatal(err)
-	}
-	srvSink.wait(t, 1)
-	if err := cli.Send(0, req); err != nil { // retransmission
-		t.Fatal(err)
-	}
-	srvSink.wait(t, 1)
-
-	st := srv.Stats()
-	if st.DigestMisses == 0 {
-		t.Fatal("first delivery did not consult the digest cache")
-	}
-	waitCond(t, 5*time.Second, func() bool { return srv.Stats().DigestHits >= 1 })
-	if n := srvSink.count(); n != 2 {
-		t.Fatalf("delivered %d messages, want 2", n)
 	}
 }

@@ -7,7 +7,7 @@
 # recorder (/debug/events) captured protocol events and replica 0's ring the
 # sampled transaction lifecycles — the live-cluster acceptance check for the
 # observability layer. The cluster runs with -auth ds (signed frames,
-# verify worker pool, digest cache), so the verify-stage histogram and the
+# verify worker pool), so the verify-stage histogram and the
 # verified-frames counter must move too — the CLI-level acceptance check for
 # the authentication layer.
 set -euo pipefail
@@ -37,10 +37,9 @@ SECRET="admin-smoke-secret"
 for i in 0 1 2 3; do
   # -batch 1: the client keeps only its window in flight, so interactive
   # batch sizing is what keeps the run fast. -auth ds turns on signed
-  # frames with the pooled verifier; -digest-cache the cross-instance
-  # verified-request cache.
+  # frames with the pooled verifier.
   "$BIN/rccnode" -id "$i" -n 4 -peers "$PEERS" -batch 1 \
-    -auth ds -auth-secret "$SECRET" -digest-cache 4096 \
+    -auth ds -auth-secret "$SECRET" \
     -data-dir "$DIR/replica-$i" -admin-addr "127.0.0.1:770$((i+4))" \
     -stats 0 >"$DIR/node-$i.log" 2>&1 &
   PIDS+=($!)
